@@ -1,5 +1,5 @@
-//! **Counting baseline** — itemset-support counting backends compared at
-//! three sparse dataset scales plus a dense scale, recorded PR-over-PR in
+//! **Counting baseline** — itemset-support counting compared at three
+//! sparse dataset scales plus a dense scale, recorded PR-over-PR in
 //! `BENCH_counting.json`:
 //!
 //! ```text
@@ -8,63 +8,52 @@
 //!
 //! Per scale the binary generates a dataset, mines its frequent itemsets
 //! once (the realistic counting workload: the measure extension re-counts
-//! a model's itemsets against another dataset), and times the ways of
-//! counting every itemset's support:
+//! a model's itemsets against another dataset), and times the two arms of
+//! the counting engine, each row varying one layer:
 //!
 //! * `bitmap_scan` — the horizontal `count_itemsets_par` scan (one
 //!   membership bitmap per transaction, subset test per itemset);
-//! * `hash_tree`   — per-level hash trees probed per transaction,
-//!   tree build included;
-//! * `vertical`    — the Eclat-style tid-bitset index of
-//!   `focus_core::vertical`, **index build included**, counting each
-//!   itemset with its own word fold;
-//! * `diffset`     — the density-adaptive dEclat index
-//!   (`VerticalIndex::build_adaptive`, build included; dense items store
-//!   complement rows) counted through the batched prefix-run path, i.e.
-//!   the adaptive tier exactly as the counting-source layer ships it;
-//! * `extend_batched` — the warm measure-extension scan: one batched
-//!   prefix-run pass over the prebuilt adaptive index (build excluded),
-//!   the per-call cost `family.rs`'s `extend_supports` pays once a
-//!   source's cache is hot.
+//! * `index_cold`  — the tid-bitset index of `focus_core::vertical`,
+//!   **index build included**, counted through the batched prefix-run
+//!   path — what a cold `CountSource` pays when the cost model picks the
+//!   index;
+//! * `index_warm`  — the same batched count over a prebuilt index (build
+//!   excluded), the per-call cost `family.rs`'s `extend_supports` pays
+//!   once a source's cache is hot.
 //!
 //! A further pair of rows measures **index reuse** — the matrix-run
 //! regime, where the same snapshot is re-counted once per surviving
 //! pair:
 //!
-//! * `vertical_rebuild_x4` — four scans, each rebuilding the index from
-//!   scratch (the per-pair-load behaviour before the counting-source
-//!   layer);
+//! * `vertical_rebuild_x4` — four batched scans, each rebuilding the
+//!   index from scratch (the per-pair-load behaviour before the
+//!   counting-source layer);
 //! * `source_cached_x4` — four scans through one shared
 //!   [`focus_core::source::CountSource`] handle, which builds its index
-//!   lazily at most once and serves the remaining scans from the cache
-//!   (through the batched prefix-run path).
+//!   lazily at most once and serves the remaining scans from the cache.
 //!
 //! For the reuse rows `speedup_vs_bitmap` compares against four
 //! horizontal scans — the bitmap cost of the same workload.
 //!
 //! The sparse scales use the paper's association generator; the `dense`
-//! scale is an independent-Bernoulli dataset at 0.7 fill over 32 items —
-//! past the diffset density crossover, so the adaptive index genuinely
-//! stores complement rows and the mined workload (triples at minsup 0.3)
-//! has deep shared prefixes for the batched path.
+//! scale is an independent-Bernoulli dataset at 0.7 fill over 32 items,
+//! whose mined workload (triples at minsup 0.3) has deep shared prefixes
+//! for the batched path.
 //!
-//! All backends must (and are asserted to) produce identical `u64`
-//! counts. Each regime runs `--samples` times; the recorded time is the
-//! minimum. One JSON object per (scale, backend) lands on stdout — with
-//! `threads` and `commit` machine-context fields — and the human table
-//! goes to stderr.
+//! All rows must (and are asserted to) produce identical `u64` counts.
+//! Each regime runs `--samples` times; the recorded time is the minimum.
+//! One JSON object per (scale, backend) lands on stdout — with `threads`,
+//! `cores` and `commit` machine-context fields — and the human table goes
+//! to stderr.
 
 use focus_bench::{git_commit, timed, ExpConfig};
 use focus_core::data::TransactionSet;
 use focus_core::model::count_itemsets_par;
-use focus_core::region::Itemset;
 use focus_core::source::{CountSource, DEFAULT_INDEX_BUDGET};
-use focus_core::vertical::{
-    count_itemsets_grouped_par, count_itemsets_vertical_par, VerticalIndex,
-};
+use focus_core::vertical::{count_itemsets_grouped_par, VerticalIndex};
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_exec::Parallelism;
-use focus_mining::{Apriori, AprioriParams, HashTree};
+use focus_mining::{Apriori, AprioriParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,31 +70,6 @@ struct Row {
     speedup_vs_bitmap: f64,
 }
 
-/// Counts every itemset through per-level hash trees (the classical
-/// backend handles one candidate length per tree), reassembling counts in
-/// itemset order. Tree builds are part of the measured work.
-fn hash_tree_counts(data: &TransactionSet, itemsets: &[Itemset], par: Parallelism) -> Vec<u64> {
-    let mut counts = vec![0u64; itemsets.len()];
-    let max_k = itemsets.iter().map(|s| s.len()).max().unwrap_or(0);
-    for k in 1..=max_k {
-        let slots: Vec<usize> = (0..itemsets.len())
-            .filter(|&i| itemsets[i].len() == k)
-            .collect();
-        if slots.is_empty() {
-            continue;
-        }
-        let level: Vec<Vec<u32>> = slots
-            .iter()
-            .map(|&i| itemsets[i].items().to_vec())
-            .collect();
-        let tree = HashTree::build(&level, k);
-        for (&slot, c) in slots.iter().zip(tree.count_set(data, par)) {
-            counts[slot] = c;
-        }
-    }
-    counts
-}
-
 /// Runs one backend `samples` times, checks every run against the
 /// reference counts, and returns the minimum elapsed seconds.
 fn best_of(samples: usize, reference: &[u64], mut run: impl FnMut() -> Vec<u64>) -> f64 {
@@ -119,7 +83,7 @@ fn best_of(samples: usize, reference: &[u64], mut run: impl FnMut() -> Vec<u64>)
 }
 
 /// An independent-Bernoulli dense dataset: every item present with the
-/// given probability, past the diffset density crossover.
+/// given probability.
 fn dense_transactions(n: usize, n_items: u32, density: f64, seed: u64) -> TransactionSet {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut data = TransactionSet::new(n_items);
@@ -137,12 +101,13 @@ fn main() {
     let par = Parallelism::Global;
     let base = cfg.rows(250_000);
     let threads = par.threads();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let commit = git_commit();
     let mut rows = Vec::new();
 
     // (scale, dataset, mining params): the sparse scales carry the
-    // paper-shaped association workload; the dense scale sits past the
-    // diffset crossover with a triple-heavy mined workload.
+    // paper-shaped association workload; the dense scale carries a
+    // triple-heavy mined workload.
     let scales: Vec<(&'static str, TransactionSet, AprioriParams)> = vec![
         ("small", AprioriParams::with_minsup(0.01), base),
         ("medium", AprioriParams::with_minsup(0.01), base * 4),
@@ -177,24 +142,14 @@ fn main() {
         let bitmap_secs = best_of(cfg.samples, &reference, || {
             count_itemsets_par(&data, &itemsets, par)
         });
-        let hash_secs = best_of(cfg.samples, &reference, || {
-            hash_tree_counts(&data, &itemsets, par)
-        });
-        let vertical_secs = best_of(cfg.samples, &reference, || {
+        // Cold: index build + batched prefix-run counting.
+        let cold_secs = best_of(cfg.samples, &reference, || {
             let index = VerticalIndex::build(&data);
-            count_itemsets_vertical_par(&index, &itemsets, par)
-        });
-        // The adaptive dEclat tier, cold: adaptive build + batched
-        // prefix-run counting — what a cold CountSource pays when the
-        // cost model picks the diffset layout.
-        let diffset_secs = best_of(cfg.samples, &reference, || {
-            let index = VerticalIndex::build_adaptive(&data);
             count_itemsets_grouped_par(&index, &itemsets, par)
         });
-        // The warm measure-extension scan: batched counting over the
-        // prebuilt adaptive index, build excluded.
-        let warm_index = VerticalIndex::build_adaptive(&data);
-        let extend_secs = best_of(cfg.samples, &reference, || {
+        // Warm: batched counting over a prebuilt index, build excluded.
+        let warm_index = VerticalIndex::build(&data);
+        let warm_secs = best_of(cfg.samples, &reference, || {
             count_itemsets_grouped_par(&warm_index, &itemsets, par)
         });
 
@@ -205,7 +160,7 @@ fn main() {
             let mut counts = Vec::new();
             for _ in 0..REUSE_SCANS {
                 let index = VerticalIndex::build(&data);
-                counts = count_itemsets_vertical_par(&index, &itemsets, par);
+                counts = count_itemsets_grouped_par(&index, &itemsets, par);
             }
             counts
         });
@@ -220,10 +175,8 @@ fn main() {
 
         for (backend, secs, one_scan_bitmap) in [
             ("bitmap_scan", bitmap_secs, 1),
-            ("hash_tree", hash_secs, 1),
-            ("vertical", vertical_secs, 1),
-            ("diffset", diffset_secs, 1),
-            ("extend_batched", extend_secs, 1),
+            ("index_cold", cold_secs, 1),
+            ("index_warm", warm_secs, 1),
             ("vertical_rebuild_x4", rebuild_secs, REUSE_SCANS),
             ("source_cached_x4", cached_secs, REUSE_SCANS),
         ] {
@@ -248,7 +201,7 @@ fn main() {
         println!(
             "{{\"bench\":\"counting\",\"scale\":\"{}\",\"transactions\":{},\"itemsets\":{},\
              \"backend\":\"{}\",\"secs\":{:.6},\"speedup_vs_bitmap\":{:.2},\
-             \"threads\":{},\"commit\":\"{}\"}}",
+             \"threads\":{},\"cores\":{},\"commit\":\"{}\"}}",
             r.scale,
             r.transactions,
             r.itemsets,
@@ -256,6 +209,7 @@ fn main() {
             r.secs,
             r.speedup_vs_bitmap,
             threads,
+            cores,
             commit
         );
         eprintln!(

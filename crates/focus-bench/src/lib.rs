@@ -18,7 +18,7 @@
 //! | `ablation_null`| bootstrap-null width vs dataset scale (A3)        |
 //! | `embed`       | δ* metric embedding via classical MDS (Sec. 4.1.1) |
 //! | `matrix_baseline` | screened vs full-scan matrix timings → `BENCH_matrix.json` |
-//! | `counting_baseline` | vertical vs bitmap-scan vs hash-tree support counting → `BENCH_counting.json` |
+//! | `counting_baseline` | bitmap-scan vs tid-bitset index support counting → `BENCH_counting.json` |
 //! | `registry_baseline` | text vs binary vs mmap snapshot loads and registry matrix wall time → `BENCH_registry.json` |
 //!
 //! All binaries accept `--scale <fraction>` (default 0.02 — 2% of the

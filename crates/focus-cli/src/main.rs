@@ -58,7 +58,7 @@ use focus_data::classify::{ClassifyFn, ClassifyGen};
 use focus_data::io::{
     read_labeled_table, read_transactions, write_labeled_table, write_transactions,
 };
-use focus_mining::{Apriori, AprioriParams, CountBackend};
+use focus_mining::{Apriori, AprioriParams};
 use focus_registry::{
     DeviationMatrix, MatrixParams, Registry, RegistryLayout, SnapshotFamily, SnapshotKind,
     StorageFormat,
@@ -165,11 +165,6 @@ global flags:
                 fan-out (0 = one per core; default: FOCUS_THREADS env var,
                 else core count). Results are bit-identical for every
                 thread count.
-  --count-backend dfs|hashtree|vertical|diffset|auto
-                Apriori support-counting backend for mine/deviate/qualify
-                (default dfs; diffset = vertical with dEclat complement
-                rows for dense items; auto = cost-model dispatch). Mined
-                models are backend-independent.
   --index-budget B
                 byte cap on vertical tid-bitset indexes, consulted by the
                 counting cost model; accepts k/M/G suffixes (e.g. 512M),
@@ -255,18 +250,6 @@ fn gen_class(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn count_backend(flags: &Flags) -> Result<CountBackend, String> {
-    match flags.get("count-backend") {
-        None => Ok(CountBackend::default()),
-        Some(s) => CountBackend::parse(s).ok_or_else(|| {
-            format!(
-                "--count-backend must be {}, got {s:?}",
-                CountBackend::VALID_VALUES
-            )
-        }),
-    }
-}
-
 fn index_budget(flags: &Flags) -> Result<Option<usize>, String> {
     match flags.get("index-budget") {
         None => Ok(None),
@@ -281,20 +264,19 @@ fn index_budget(flags: &Flags) -> Result<Option<usize>, String> {
     }
 }
 
-fn miner(flags: &Flags, minsup: f64) -> Result<Apriori, String> {
-    Ok(Apriori::new(
+fn miner(minsup: f64) -> Apriori {
+    Apriori::new(
         AprioriParams::with_minsup(minsup)
             .max_len(10)
-            .min_count_floor(2)
-            .backend(count_backend(flags)?),
-    ))
+            .min_count_floor(2),
+    )
 }
 
 fn mine(flags: &Flags) -> Result<(), String> {
     let path = req(flags, "data")?;
     let minsup: f64 = opt(flags, "minsup", 0.01)?;
     let data = read_transactions(File::open(path).map_err(io_err)?).map_err(io_err)?;
-    let model = miner(flags, minsup)?.mine(&data);
+    let model = miner(minsup).mine(&data);
     eprintln!(
         "{}: {} frequent itemsets at minsup {}",
         path,
@@ -335,7 +317,7 @@ fn deviate(flags: &Flags) -> Result<(), String> {
     let minsup: f64 = opt(flags, "minsup", 0.01)?;
     let d1 = read_transactions(File::open(req(flags, "d1")?).map_err(io_err)?).map_err(io_err)?;
     let d2 = read_transactions(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
-    let m = miner(flags, minsup)?;
+    let m = miner(minsup);
     let m1 = m.mine(&d1);
     let m2 = m.mine(&d2);
     let dev = lits_deviation(&m1, &d1, &m2, &d2, diff_fn(flags)?, agg_fn(flags)?);
@@ -362,7 +344,7 @@ fn qualify(flags: &Flags) -> Result<(), String> {
     let seed: u64 = opt(flags, "seed", 7)?;
     let d1 = read_transactions(File::open(req(flags, "d1")?).map_err(io_err)?).map_err(io_err)?;
     let d2 = read_transactions(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
-    let m = miner(flags, minsup)?;
+    let m = miner(minsup);
     let pipeline = |a: &focus_core::data::TransactionSet, b: &focus_core::data::TransactionSet| {
         let ma = m.mine(a);
         let mb = m.mine(b);
@@ -674,35 +656,6 @@ mod tests {
         assert!(diff_fn(&flags_of(&["--f", "zzz"])).is_err());
         assert_eq!(agg_fn(&flags_of(&["--g", "max"])).unwrap(), AggFn::Max);
         assert!(agg_fn(&flags_of(&["--g", "median"])).is_err());
-    }
-
-    #[test]
-    fn count_backend_flag_parsing() {
-        assert_eq!(count_backend(&flags_of(&[])).unwrap(), CountBackend::Dfs);
-        assert_eq!(
-            count_backend(&flags_of(&["--count-backend", "vertical"])).unwrap(),
-            CountBackend::Vertical
-        );
-        assert_eq!(
-            count_backend(&flags_of(&["--count-backend", "hash-tree"])).unwrap(),
-            CountBackend::HashTree
-        );
-        assert_eq!(
-            count_backend(&flags_of(&["--count-backend", "AUTO"])).unwrap(),
-            CountBackend::Auto
-        );
-        // The rejection names every valid spelling, so a typo is
-        // self-correcting from the error alone.
-        assert_eq!(
-            count_backend(&flags_of(&["--count-backend", "diffset"])).unwrap(),
-            CountBackend::Diffset
-        );
-        let err = count_backend(&flags_of(&["--count-backend", "nope"])).unwrap_err();
-        for valid in ["dfs", "hashtree", "vertical", "diffset", "auto"] {
-            assert!(err.contains(valid), "{err:?} should mention {valid:?}");
-        }
-        assert!(err.contains("nope"));
-        assert!(miner(&flags_of(&["--count-backend", "nope"]), 0.1).is_err());
     }
 
     #[test]

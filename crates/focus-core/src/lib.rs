@@ -21,11 +21,11 @@
 //! * [`data`] — attribute spaces, tables, transaction sets (Def. 3.1);
 //! * [`region`] — box and itemset regions;
 //! * [`model`] — 2-component models and the measure (selectivity) scans;
-//! * [`vertical`] — Eclat-style vertical tid-bitset counting (the fast
-//!   backend behind the itemset-support scans);
+//! * [`vertical`] — Eclat-style vertical tid-bitset counting (the index
+//!   arm behind the itemset-support scans);
 //! * [`source`] — the counting-source layer: per-dataset handles that
-//!   cache the vertical index and pick a backend by a deterministic cost
-//!   model;
+//!   cache the vertical index and pick the horizontal scan or the index by
+//!   a deterministic cost model;
 //! * [`gcr`] — greatest common refinements (Defs. 3.4, 4.2);
 //! * [`diff`] — difference functions `f_a`, `f_s`, `f_χ²` and aggregates
 //!   `sum`, `max` (Def. 3.7);
@@ -132,17 +132,12 @@ pub mod prelude {
     pub use crate::region::{AttrConstraint, BoxBuilder, BoxRegion, CatMask, Itemset};
     pub use crate::report::{dt_report, lits_report, ComparisonReport, ReportOptions};
     pub use crate::source::{
-        choose_backend, global_index_budget, parse_index_budget, prefers_vertical,
-        set_global_index_budget, BackendChoice, CountSource, DEFAULT_INDEX_BUDGET,
-        DIFFSET_DENSITY_NUM,
+        global_index_budget, parse_index_budget, prefers_index, set_global_index_budget,
+        CountSource, DEFAULT_INDEX_BUDGET,
     };
     pub use crate::stream::{
         calibrate_threshold_par, BlockVerdict, ChangeMonitor, DEFAULT_HISTORY_CAP,
     };
-    pub use crate::vertical::{
-        count_itemsets_auto, count_itemsets_auto_par, count_itemsets_grouped,
-        count_itemsets_grouped_par, count_itemsets_vertical, count_itemsets_vertical_par, CsrError,
-        RowRepr, VerticalIndex,
-    };
+    pub use crate::vertical::{count_itemsets_grouped, count_itemsets_grouped_par, VerticalIndex};
     pub use focus_exec::Parallelism;
 }

@@ -1,43 +1,32 @@
 //! The counting-source layer: one handle per dataset that serves itemset
-//! support counts through whichever backend a deterministic cost model
-//! picks, building the vertical index at most once per handle.
+//! support counts through whichever arm a deterministic cost model picks,
+//! building the vertical index at most once per handle.
 //!
 //! Every measure-extension scan in the FOCUS pipeline ultimately asks the
 //! same question — "how many transactions support each of these itemsets?"
-//! — yet before this module each call site chose its own access structure:
-//! the auto dispatcher built a throwaway [`VerticalIndex`] per call, and a
-//! `matrix` run re-indexed every snapshot for every surviving pair. A
-//! [`CountSource`] is the snapshot-scoped answer: it wraps the horizontal
-//! [`TransactionSet`] view (borrowed or owned) or a pre-built index, and
-//! lazily caches the index behind a [`OnceLock`] so `Fn + Sync` parallel
-//! closures can share one handle across worker threads.
+//! A [`CountSource`] is the snapshot-scoped answer: it borrows the
+//! horizontal [`TransactionSet`] view and lazily caches the
+//! [`VerticalIndex`] behind a [`OnceLock`] so `Fn + Sync` parallel closures
+//! can share one handle across worker threads.
 //!
 //! ## The cost model
 //!
-//! [`choose_backend`] replaces the old static gate (≥ 8 itemsets over
-//! ≥ 1024 transactions) with an explicit three-way comparison —
-//! [`BackendChoice::Horizontal`] / [`BackendChoice::Tidset`] /
-//! [`BackendChoice::Diffset`]:
+//! [`prefers_index`] is a two-way comparison between the two arms of the
+//! counting engine:
 //!
 //! * horizontal scan ≈ `rows × Σ|itemset|` subset probes plus one bitmap
 //!   build per transaction (`total_items` touches);
-//! * vertical count ≈ `Σ|itemset| × words` AND/popcount word ops, plus —
-//!   when no index exists yet — a build pass weighted by
+//! * index count ≈ `Σ|itemset| × words` AND/popcount word ops through the
+//!   batched prefix-run kernel, plus a build pass weighted by
 //!   [`INDEX_BUILD_WEIGHT`] so a throwaway index never wins on a workload
-//!   too small to amortise it;
-//! * when vertical wins, a dense dataset (average fill at or above 1/4,
-//!   so a meaningful share of items sits past the per-row 1/2 density
-//!   crossover) builds the **diffset-adaptive** index
-//!   ([`VerticalIndex::build_adaptive`]) instead of the all-tidset one —
-//!   same word count, complement rows for the dense items.
+//!   too small to amortise it.
 //!
 //! The choice is a **pure function of data shape, workload and budget** —
 //! never thread count, timing, or whether a cache already holds the index
 //! — so dispatch can never violate the workspace's
-//! bit-identical-for-any-thread-count contract. All backends produce
+//! bit-identical-for-any-thread-count contract. Both arms produce
 //! identical `u64` counts (the differential suite enforces this), so the
-//! model can only change cost, never a result. [`prefers_vertical`] is
-//! the boolean view of the same model (`!= Horizontal`).
+//! model can only change cost, never a result.
 //!
 //! ## The index budget
 //!
@@ -134,135 +123,48 @@ pub fn global_index_budget() -> usize {
 /// is up-weighted to keep one-shot small workloads on the horizontal scan.
 const INDEX_BUILD_WEIGHT: usize = 4;
 
-/// Average dataset density (as `total_items / (n_transactions × n_items)`)
-/// at or above which the cost model builds the diffset-adaptive index:
-/// 1/4, expressed as the numerator of the comparison
-/// `DIFFSET_DENSITY_NUM × total_items ≥ n_transactions × n_items`. At a
-/// quarter average fill, a meaningful share of items sits past the
-/// per-row 1/2 crossover where the complement row is the sparser one.
-pub const DIFFSET_DENSITY_NUM: u128 = 4;
-
-/// Which counting backend the cost model picked for a workload.
-///
-/// `Tidset` and `Diffset` differ only in **which index gets built** — the
-/// all-tidset matrix versus the density-adaptive mixed layout
-/// ([`VerticalIndex::build_adaptive`]); every counting entry point
-/// resolves the representation per row, so an already-built index of
-/// either flavour serves either choice with identical counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendChoice {
-    /// Scan the horizontal transaction list.
-    Horizontal,
-    /// Count through the all-tidset vertical index.
-    Tidset,
-    /// Count through the diffset-adaptive vertical index (dense items
-    /// stored as complement rows).
-    Diffset,
-}
-
-/// The deterministic three-way backend choice for counting `n_itemsets`
-/// itemsets totalling `workload_items` items over the given data shape:
-/// horizontal when the vertical word fold (including, when `index_built`
-/// is false, the [`INDEX_BUILD_WEIGHT`]-weighted build pass) loses or the
-/// index would not fit `budget_bytes`; otherwise tidset or diffset by the
-/// dataset's average density against [`DIFFSET_DENSITY_NUM`].
+/// The deterministic two-way choice for counting itemsets totalling
+/// `workload_items` items over the given data shape: `true` when the
+/// vertical word fold plus the [`INDEX_BUILD_WEIGHT`]-weighted build pass
+/// beats the horizontal scan and the index fits `budget_bytes`.
 ///
 /// Inputs are data shape, workload and budget only — never thread count,
 /// timing, or cache state — so for a fixed dataset and call sequence the
 /// dispatch decision is identical on every run and every `FOCUS_THREADS`
-/// setting. `index_built` exists for strictly sequential callers that
-/// already hold an index (the Apriori level loop); shared [`CountSource`]
-/// handles always pass `false` so their dispatch never depends on what a
-/// previous call happened to cache. The density term depends on the data
-/// alone, so one dataset always maps to one index flavour no matter how
-/// the workload varies call to call.
-pub fn choose_backend(
-    n_itemsets: usize,
+/// setting. The Apriori level loop asks once per level until an index is
+/// built; [`CountSource`] asks on every call, so its dispatch never depends
+/// on what a previous call happened to cache.
+pub fn prefers_index(
     workload_items: usize,
     n_transactions: usize,
     n_items: u32,
     total_items: usize,
-    index_built: bool,
     budget_bytes: usize,
-) -> BackendChoice {
-    if n_itemsets == 0 || n_transactions == 0 {
-        // Nothing to scan; the trivial early-outs of all backends agree,
-        // so route to whatever already exists.
-        return if index_built {
-            BackendChoice::Tidset
-        } else {
-            BackendChoice::Horizontal
-        };
+) -> bool {
+    if workload_items == 0
+        || n_transactions == 0
+        || VerticalIndex::estimate_bytes_for(n_items, n_transactions) > budget_bytes
+    {
+        return false;
     }
     let words = n_transactions.div_ceil(64) as u128;
     // Horizontal: every transaction is bitmapped once (≈ total_items
     // touches) and probed once per itemset item.
     let horizontal = (n_transactions as u128) * (workload_items as u128) + total_items as u128;
-    // Vertical: AND + popcount over each itemset item's word row, plus the
-    // weighted build pass (one touch per stored item, one per matrix byte)
-    // when no index exists yet.
-    let build = if index_built {
-        0
-    } else {
-        if VerticalIndex::estimate_bytes_for(n_items, n_transactions) > budget_bytes {
-            return BackendChoice::Horizontal;
-        }
-        (INDEX_BUILD_WEIGHT as u128) * (total_items as u128 + (n_items as u128) * words.div_ceil(8))
-    };
-    let vertical = (workload_items as u128) * words + build;
-    if vertical >= horizontal {
-        return BackendChoice::Horizontal;
-    }
-    // Vertical wins; pick the row layout by the dataset's average density.
-    if DIFFSET_DENSITY_NUM * (total_items as u128) >= (n_transactions as u128) * (n_items as u128) {
-        BackendChoice::Diffset
-    } else {
-        BackendChoice::Tidset
-    }
-}
-
-/// The boolean view of [`choose_backend`]: `true` for either vertical
-/// flavour. Kept for callers that only care about the
-/// horizontal-vs-vertical split.
-pub fn prefers_vertical(
-    n_itemsets: usize,
-    workload_items: usize,
-    n_transactions: usize,
-    n_items: u32,
-    total_items: usize,
-    index_built: bool,
-    budget_bytes: usize,
-) -> bool {
-    choose_backend(
-        n_itemsets,
-        workload_items,
-        n_transactions,
-        n_items,
-        total_items,
-        index_built,
-        budget_bytes,
-    ) != BackendChoice::Horizontal
+    // Index: AND + popcount over each itemset item's word row, plus the
+    // weighted build pass (one touch per stored item, one per matrix byte).
+    let build = (INDEX_BUILD_WEIGHT as u128)
+        * (total_items as u128 + (n_items as u128) * words.div_ceil(8));
+    (workload_items as u128) * words + build < horizontal
 }
 
 // ---------------------------------------------------------------------------
 // CountSource
 
-/// How a [`CountSource`] holds its data.
-enum Repr<'a> {
-    /// A borrowed horizontal view (the common in-process case).
-    Borrowed(&'a TransactionSet),
-    /// An owned horizontal view (e.g. a text-loaded registry snapshot).
-    Owned(TransactionSet),
-    /// A pre-built index with no horizontal view at all — the
-    /// decode-to-index path, where binary snapshot bytes become bitsets
-    /// without ever materialising a `TransactionSet`.
-    Index(VerticalIndex),
-}
-
-/// A snapshot-scoped counting handle: wraps one dataset and serves
-/// [`CountSource::counts`] through whichever backend [`prefers_vertical`]
-/// picks per call, building the [`VerticalIndex`] at most once for the
-/// handle's lifetime.
+/// A snapshot-scoped counting handle: borrows one dataset and serves
+/// [`CountSource::counts`] through whichever arm [`prefers_index`] picks
+/// per call, building the [`VerticalIndex`] at most once for the handle's
+/// lifetime.
 ///
 /// The handle is `Sync` and interior-mutable ([`OnceLock`]), so parallel
 /// `Fn + Sync` closures — the matrix engine's per-pair fan-out — can share
@@ -270,7 +172,7 @@ enum Repr<'a> {
 /// them. The index budget is snapshotted at construction, so every count
 /// through one handle sees the same budget regardless of later knob turns.
 pub struct CountSource<'a> {
-    repr: Repr<'a>,
+    data: &'a TransactionSet,
     cache: OnceLock<VerticalIndex>,
     budget: usize,
 }
@@ -278,14 +180,7 @@ pub struct CountSource<'a> {
 impl std::fmt::Debug for CountSource<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CountSource")
-            .field(
-                "repr",
-                &match self.repr {
-                    Repr::Borrowed(_) => "borrowed",
-                    Repr::Owned(_) => "owned",
-                    Repr::Index(_) => "index",
-                },
-            )
+            .field("transactions", &self.len())
             .field("indexed", &self.index_built())
             .field("budget", &self.budget)
             .finish()
@@ -293,37 +188,17 @@ impl std::fmt::Debug for CountSource<'_> {
 }
 
 impl<'a> CountSource<'a> {
-    /// A source borrowing `data` (no copy); the usual in-process handle.
+    /// A source borrowing `data` (no copy).
     pub fn borrowed(data: &'a TransactionSet) -> CountSource<'a> {
         CountSource {
-            repr: Repr::Borrowed(data),
-            cache: OnceLock::new(),
-            budget: global_index_budget(),
-        }
-    }
-
-    /// A source owning `data` — e.g. a registry snapshot loaded from text.
-    pub fn from_owned(data: TransactionSet) -> CountSource<'static> {
-        CountSource {
-            repr: Repr::Owned(data),
-            cache: OnceLock::new(),
-            budget: global_index_budget(),
-        }
-    }
-
-    /// A source that *is* an index: every count goes vertical, no
-    /// horizontal view exists. This is the decode-to-index registry path.
-    pub fn from_index(index: VerticalIndex) -> CountSource<'static> {
-        CountSource {
-            repr: Repr::Index(index),
+            data,
             cache: OnceLock::new(),
             budget: global_index_budget(),
         }
     }
 
     /// Overrides the handle's index budget (tests and benches; production
-    /// callers use the process-wide knob). Has no effect on an
-    /// index-backed source, which never builds anything.
+    /// callers use the process-wide knob).
     pub fn with_index_budget(mut self, bytes: usize) -> CountSource<'a> {
         self.budget = bytes;
         self
@@ -331,83 +206,47 @@ impl<'a> CountSource<'a> {
 
     /// Number of transactions behind the handle.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Borrowed(d) => d.len(),
-            Repr::Owned(d) => d.len(),
-            Repr::Index(idx) => idx.n_transactions(),
-        }
+        self.data.len()
     }
 
     /// True when the handle holds no transactions.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.data.is_empty()
     }
 
     /// Size of the item universe behind the handle.
     pub fn n_items(&self) -> u32 {
-        match &self.repr {
-            Repr::Borrowed(d) => d.n_items(),
-            Repr::Owned(d) => d.n_items(),
-            Repr::Index(idx) => idx.n_items(),
-        }
+        self.data.n_items()
     }
 
-    /// The horizontal view, when the handle has one (`None` for an
-    /// index-backed source).
-    pub fn transactions(&self) -> Option<&TransactionSet> {
-        match &self.repr {
-            Repr::Borrowed(d) => Some(d),
-            Repr::Owned(d) => Some(d),
-            Repr::Index(_) => None,
-        }
-    }
-
-    /// True when a vertical index exists — pre-built or already cached.
+    /// True when the vertical index has been built and cached.
     pub fn index_built(&self) -> bool {
-        matches!(self.repr, Repr::Index(_)) || self.cache.get().is_some()
+        self.cache.get().is_some()
     }
 
     /// Support counts for `itemsets`, dispatched by the cost model.
     ///
-    /// Index-backed sources always count vertically. Horizontal-backed
-    /// sources consult [`choose_backend`] with `index_built = false`
-    /// every call — dispatch depends only on the workload's shape, never
-    /// on what an earlier call cached — and a winning vertical choice
-    /// reuses (or race-safely builds) the cached index, diffset-adaptive
-    /// when the choice was [`BackendChoice::Diffset`]. (The density term
-    /// is a function of the data alone, so every call over one handle
-    /// resolves to the same index flavour.) Vertical counting goes through
-    /// the batched prefix-run path ([`count_itemsets_grouped_par`]), so
-    /// sibling itemsets in a measure-extension workload share one cached
-    /// prefix mask per run. Counts are bit-identical across backends and
-    /// thread counts.
+    /// Every call consults [`prefers_index`] — dispatch depends only on
+    /// the workload's shape, never on what an earlier call cached — and a
+    /// winning index choice reuses (or race-safely builds) the cached
+    /// index. Index counting goes through the batched prefix-run path
+    /// ([`count_itemsets_grouped_par`]), so sibling itemsets in a
+    /// measure-extension workload share one cached prefix mask per run.
+    /// Counts are bit-identical across arms and thread counts.
     pub fn counts(&self, itemsets: &[Itemset], par: Parallelism) -> Vec<u64> {
-        let data = match &self.repr {
-            Repr::Index(idx) => return count_itemsets_grouped_par(idx, itemsets, par),
-            Repr::Borrowed(d) => d,
-            Repr::Owned(d) => d,
-        };
+        let data = self.data;
         let workload_items: usize = itemsets.iter().map(Itemset::len).sum();
-        match choose_backend(
-            itemsets.len(),
+        if prefers_index(
             workload_items,
             data.len(),
             data.n_items(),
             data.total_items(),
-            false,
             self.budget,
         ) {
-            BackendChoice::Horizontal => count_itemsets_par(data, itemsets, par),
-            choice => {
-                let index = self.cache.get_or_init(|| {
-                    if choice == BackendChoice::Diffset {
-                        VerticalIndex::build_adaptive(data)
-                    } else {
-                        VerticalIndex::build(data)
-                    }
-                });
-                count_itemsets_grouped_par(index, itemsets, par)
-            }
+            let index = self.cache.get_or_init(|| VerticalIndex::build(data));
+            count_itemsets_grouped_par(index, itemsets, par)
+        } else {
+            count_itemsets_par(data, itemsets, par)
         }
     }
 }
@@ -461,136 +300,27 @@ mod tests {
 
     #[test]
     fn cost_model_is_deterministic_and_budget_capped() {
-        // A workload big enough to amortise the build prefers vertical…
-        let big = prefers_vertical(17, 25, 2000, 9, 7200, false, DEFAULT_INDEX_BUDGET);
+        // A workload big enough to amortise the build prefers the index…
+        let big = prefers_index(25, 2000, 9, 7200, DEFAULT_INDEX_BUDGET);
         assert!(big);
         // …and the same inputs always give the same answer.
         for _ in 0..8 {
-            assert_eq!(
-                prefers_vertical(17, 25, 2000, 9, 7200, false, DEFAULT_INDEX_BUDGET),
-                big
-            );
+            assert_eq!(prefers_index(25, 2000, 9, 7200, DEFAULT_INDEX_BUDGET), big);
         }
+        // Density does not move the choice: sparse data amortises the
+        // build just the same.
+        assert!(prefers_index(25, 2000, 9, 2700, DEFAULT_INDEX_BUDGET));
         // A single tiny scan never pays for a throwaway build.
-        assert!(!prefers_vertical(
-            1,
-            2,
-            1000,
-            10,
-            3000,
-            false,
-            DEFAULT_INDEX_BUDGET
-        ));
-        // …but reuses an index that is already there.
-        assert!(prefers_vertical(
-            1,
-            2,
-            1000,
-            10,
-            3000,
-            true,
-            DEFAULT_INDEX_BUDGET
-        ));
+        assert!(!prefers_index(2, 1000, 10, 3000, DEFAULT_INDEX_BUDGET));
         // Budget 0 forbids building regardless of workload.
-        assert!(!prefers_vertical(
-            1000, 5000, 100_000, 50, 1_000_000, false, 0
-        ));
+        assert!(!prefers_index(5000, 100_000, 50, 1_000_000, 0));
         // Degenerate shapes never dispatch a build.
-        assert!(!prefers_vertical(
-            0,
-            0,
-            1000,
-            10,
-            3000,
-            false,
-            DEFAULT_INDEX_BUDGET
-        ));
-        assert!(!prefers_vertical(
-            5,
-            10,
-            0,
-            10,
-            0,
-            false,
-            DEFAULT_INDEX_BUDGET
-        ));
+        assert!(!prefers_index(0, 1000, 10, 3000, DEFAULT_INDEX_BUDGET));
+        assert!(!prefers_index(10, 0, 10, 0, DEFAULT_INDEX_BUDGET));
     }
 
     #[test]
-    fn three_way_choice_follows_density_and_budget() {
-        // A build-amortising workload over sparse data: tidset.
-        assert_eq!(
-            choose_backend(17, 25, 2000, 9, 2700, false, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Tidset,
-            "density 0.15 stays tidset"
-        );
-        // Same workload, dense data (≥ 1/4 average fill): diffset.
-        assert_eq!(
-            choose_backend(17, 25, 2000, 9, 7200, false, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Diffset,
-            "density 0.4 crosses to diffset"
-        );
-        // Exactly the 1/4 boundary is dense.
-        assert_eq!(
-            choose_backend(17, 25, 2000, 8, 4000, false, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Diffset
-        );
-        // Too small to amortise a build, or over budget: horizontal, no
-        // matter the density.
-        assert_eq!(
-            choose_backend(1, 2, 1000, 10, 8000, false, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Horizontal
-        );
-        assert_eq!(
-            choose_backend(1000, 5000, 100_000, 50, 4_000_000, false, 0),
-            BackendChoice::Horizontal
-        );
-        // Degenerate shapes route to whatever already exists.
-        assert_eq!(
-            choose_backend(0, 0, 1000, 10, 3000, false, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Horizontal
-        );
-        assert_eq!(
-            choose_backend(0, 0, 1000, 10, 3000, true, DEFAULT_INDEX_BUDGET),
-            BackendChoice::Tidset
-        );
-        // prefers_vertical is exactly the boolean view.
-        for (args, want) in [
-            ((17usize, 25usize, 2000usize, 9u32, 7200usize, false), true),
-            ((17, 25, 2000, 9, 2700, false), true),
-            ((1, 2, 1000, 10, 8000, false), false),
-        ] {
-            let (a, b, c, d, e, f) = args;
-            assert_eq!(
-                prefers_vertical(a, b, c, d, e, f, DEFAULT_INDEX_BUDGET),
-                want
-            );
-        }
-    }
-
-    #[test]
-    fn dense_sources_cache_the_adaptive_index() {
-        // Density 0.7 — well past the crossover — over a workload that
-        // amortises the build: the handle must cache the diffset-adaptive
-        // index and still count identically to the horizontal scan.
-        let ts = random_set(31, 2000, 9, 0.7);
-        let sets: Vec<Itemset> = (0..9u32)
-            .map(|i| Itemset::from_slice(&[i]))
-            .chain((0..8u32).map(|i| Itemset::from_slice(&[i, i + 1])))
-            .chain((0..7u32).map(|i| Itemset::from_slice(&[i, i + 1, i + 2])))
-            .collect();
-        let source = CountSource::borrowed(&ts).with_index_budget(DEFAULT_INDEX_BUDGET);
-        let got = source.counts(&sets, Parallelism::Sequential);
-        assert!(source.index_built());
-        assert!(
-            source.cache.get().unwrap().n_diffset_rows() > 0,
-            "dense data must cache the adaptive index"
-        );
-        assert_eq!(got, count_itemsets_par(&ts, &sets, Parallelism::Sequential));
-    }
-
-    #[test]
-    fn counts_match_horizontal_for_all_reprs() {
+    fn counts_match_horizontal_at_every_budget() {
         let ts = random_set(21, 600, 11, 0.35);
         let sets: Vec<Itemset> = (0..11u32)
             .map(|i| Itemset::from_slice(&[i]))
@@ -598,12 +328,12 @@ mod tests {
             .chain([Itemset::new(vec![]), Itemset::from_slice(&[40])])
             .collect();
         let reference = count_itemsets_par(&ts, &sets, Parallelism::Sequential);
-        let borrowed = CountSource::borrowed(&ts);
+        let borrowed = CountSource::borrowed(&ts).with_index_budget(DEFAULT_INDEX_BUDGET);
         assert_eq!(borrowed.counts(&sets, Parallelism::Sequential), reference);
-        let owned = CountSource::from_owned(ts.clone());
-        assert_eq!(owned.counts(&sets, Parallelism::Sequential), reference);
-        let indexed = CountSource::from_index(VerticalIndex::build(&ts));
-        assert_eq!(indexed.counts(&sets, Parallelism::Sequential), reference);
+        assert!(
+            borrowed.index_built(),
+            "this workload should build the index"
+        );
         // Forced-horizontal budget: still the same counts.
         let capped = CountSource::borrowed(&ts).with_index_budget(0);
         assert_eq!(capped.counts(&sets, Parallelism::Sequential), reference);
@@ -633,19 +363,15 @@ mod tests {
     }
 
     #[test]
-    fn accessors_cover_every_repr() {
+    fn accessors_and_empty_sources() {
         let ts = toy();
         let borrowed = CountSource::borrowed(&ts);
         assert_eq!(borrowed.len(), 4);
         assert_eq!(borrowed.n_items(), 2);
         assert!(!borrowed.is_empty());
-        assert!(borrowed.transactions().is_some());
-        let indexed = CountSource::from_index(VerticalIndex::build(&ts));
-        assert_eq!(indexed.len(), 4);
-        assert_eq!(indexed.n_items(), 2);
-        assert!(indexed.transactions().is_none());
-        assert!(indexed.index_built());
-        let empty = CountSource::from_owned(TransactionSet::new(3));
+        assert!(!borrowed.index_built());
+        let none = TransactionSet::new(3);
+        let empty = CountSource::borrowed(&none);
         assert!(empty.is_empty());
         assert_eq!(
             empty.counts(

@@ -1,5 +1,4 @@
-//! Eclat-style vertical tid-bitset counting (Zaki, KDD '97 lineage), with
-//! a density-adaptive **diffset** (dEclat) row representation.
+//! Eclat-style vertical tid-bitset counting (Zaki, KDD '97 lineage).
 //!
 //! The horizontal scans in [`crate::model`] re-touch every transaction for
 //! every itemset: `O(rows × itemsets)` subset tests. This module stores the
@@ -8,33 +7,12 @@
 //! bit operations over `ceil(n_transactions / 64)` words per item, with no
 //! per-transaction branching at all.
 //!
-//! ## Row representations
-//!
-//! Each item row is stored in one of two per-item representations
-//! ([`RowRepr`]):
-//!
-//! * **tidset** — bit `t` set iff transaction `t` contains the item (the
-//!   classical Eclat layout, and what [`VerticalIndex::build`] produces
-//!   for every item);
-//! * **diffset** — the *complement*: bit `t` set iff transaction `t` does
-//!   **not** contain the item. This is dEclat's `d(X) = t(∅) \ t(X)`
-//!   against the full dataset. [`VerticalIndex::build_adaptive`] stores an
-//!   item as a diffset when it is dense (support strictly above half the
-//!   transactions), which keeps the stored rows sparse on dense data, and
-//!   turns the intersection step into one ANDNOT against the cached
-//!   prefix mask: `support(P ∪ {x}) = support(P) − |cover(P) ∩ d(x)| =
-//!   popcount(mask & !d_row(x))`.
-//!
-//! Every counting entry point resolves the representation per item, so
-//! mixed-layout indexes count `u64`-identically to all-tidset indexes and
-//! to the horizontal scan — the differential suite enforces it.
-//!
 //! The layout is deterministic (item-major, 64-bit words, transaction `t`
 //! at bit `t % 64` of word `t / 64`, bits at positions `≥ n_transactions`
-//! always zero in *both* representations) and the parallel counters fan
-//! out via [`focus_exec::map_reduce`] / [`focus_exec::map_indices`] with
-//! exact `u64` partials — so counts are bit-identical to the sequential
-//! fold for every thread count, exactly like the horizontal scans.
+//! always zero) and the parallel counters fan out via
+//! [`focus_exec::map_reduce`] / [`focus_exec::map_indices`] with exact
+//! `u64` partials — so counts are bit-identical to the sequential fold for
+//! every thread count, exactly like the horizontal scans.
 //!
 //! Counting semantics match [`crate::model::count_itemsets_par`] case for
 //! case: the empty itemset is supported by every transaction, and an item
@@ -42,100 +20,14 @@
 
 use crate::data::TransactionSet;
 use crate::region::Itemset;
-use focus_exec::{map_indices, map_reduce, popcount_andnot_all, Parallelism, WORD_GRAIN};
-
-/// How one item's row is stored in the bit matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RowRepr {
-    /// Bit `t` set iff transaction `t` contains the item.
-    Tidset,
-    /// Bit `t` set iff transaction `t` does **not** contain the item: the
-    /// dEclat diffset against the full dataset, chosen for dense items.
-    Diffset,
-}
-
-/// A CSR-invariant violation found by [`VerticalIndex::from_csr`].
-///
-/// The variants (and their [`std::fmt::Display`] wording) mirror the
-/// invariants [`TransactionSet::from_parts`] enforces, string for string,
-/// so a corrupt artifact surfaces identically on either decode path. At
-/// the io seam the error converts to [`std::io::ErrorKind::InvalidData`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CsrError {
-    /// The offsets column is empty or does not begin with 0.
-    BadStart,
-    /// The final offset does not equal the item column's length.
-    Coverage {
-        /// The last offset recorded in the column.
-        last: usize,
-        /// The actual number of items in the flat item column.
-        items: usize,
-    },
-    /// The offsets column decreases at the given transaction.
-    Decreasing {
-        /// Index of the transaction whose end offset precedes its start.
-        transaction: usize,
-    },
-    /// An item id at or beyond the declared universe size.
-    ItemOutOfRange {
-        /// Index of the offending transaction.
-        transaction: usize,
-        /// The out-of-range item id.
-        item: u32,
-        /// The declared universe size (valid ids are `0..n_items`).
-        n_items: u32,
-    },
-    /// A transaction's items are not strictly increasing (the sorted +
-    /// deduplicated contract).
-    Unsorted {
-        /// Index of the offending transaction.
-        transaction: usize,
-    },
-}
-
-impl std::fmt::Display for CsrError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CsrError::BadStart => write!(f, "offsets must start at 0"),
-            CsrError::Coverage { last, items } => {
-                write!(f, "last offset {last} does not cover the {items} items")
-            }
-            CsrError::Decreasing { transaction } => {
-                write!(f, "offsets decrease at transaction {transaction}")
-            }
-            CsrError::ItemOutOfRange {
-                transaction,
-                item,
-                n_items,
-            } => write!(
-                f,
-                "transaction {transaction}: item {item} out of range 0..{n_items}"
-            ),
-            CsrError::Unsorted { transaction } => write!(
-                f,
-                "transaction {transaction} is not strictly increasing (sorted + deduplicated)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CsrError {}
-
-impl From<CsrError> for std::io::Error {
-    fn from(e: CsrError) -> std::io::Error {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
-    }
-}
+use focus_exec::{map_indices, popcount_and_all, Parallelism, WORD_GRAIN};
 
 /// A vertical (item-major) tid-bitset index over a [`TransactionSet`].
 ///
-/// Row `i` holds the membership bitset of item `i` in the representation
-/// [`Self::row_repr`] reports: a tidset row sets bit `t` iff transaction
-/// `t` contains item `i`; a diffset row stores the complement. All rows
+/// Row `i` sets bit `t` iff transaction `t` contains item `i`. All rows
 /// share the same word count `ceil(n_transactions / 64)`; bits at
-/// positions `≥ n_transactions` are always zero in either representation,
-/// so popcounts over whole rows are exact supports (or exact
-/// complement-cover sizes).
+/// positions `≥ n_transactions` are always zero, so popcounts over whole
+/// rows are exact supports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerticalIndex {
     n_items: u32,
@@ -144,12 +36,10 @@ pub struct VerticalIndex {
     words: usize,
     /// Item-major bit matrix: `bits[item * words + w]`.
     bits: Vec<u64>,
-    /// Per-item row representation (always `n_items` entries).
-    repr: Vec<RowRepr>,
 }
 
 impl VerticalIndex {
-    /// Builds the all-tidset index in one pass over `data`.
+    /// Builds the index in one pass over `data`.
     pub fn build(data: &TransactionSet) -> Self {
         let n_items = data.n_items();
         let n_transactions = data.len();
@@ -166,99 +56,7 @@ impl VerticalIndex {
             n_transactions,
             words,
             bits,
-            repr: vec![RowRepr::Tidset; n_items as usize],
         }
-    }
-
-    /// [`Self::build`], then [`Self::into_adaptive`]: dense items (support
-    /// strictly above half the transactions) are re-stored as diffset
-    /// rows. Counts through the resulting mixed-layout index are
-    /// bit-identical to the all-tidset index for every entry point.
-    pub fn build_adaptive(data: &TransactionSet) -> Self {
-        Self::build(data).into_adaptive()
-    }
-
-    /// Converts every dense row — support strictly above `n / 2`, the
-    /// density crossover where the complement has fewer set bits than the
-    /// cover — to the diffset representation, in place. Idempotent on an
-    /// already-adaptive index (a stored diffset row of a dense item is
-    /// sparse, so it stays put).
-    pub fn into_adaptive(mut self) -> Self {
-        let half = self.n_transactions as u64;
-        for item in 0..self.n_items as usize {
-            if self.repr[item] == RowRepr::Diffset {
-                continue;
-            }
-            let start = item * self.words;
-            let row = &self.bits[start..start + self.words];
-            let support: u64 = row.iter().map(|w| u64::from(w.count_ones())).sum();
-            if support * 2 > half {
-                for w in 0..self.words {
-                    let full = self.full_word(w);
-                    self.bits[start + w] = !self.bits[start + w] & full;
-                }
-                self.repr[item] = RowRepr::Diffset;
-            }
-        }
-        self
-    }
-
-    /// Builds the index straight from CSR parts (offsets + flat item
-    /// column) without materialising a [`TransactionSet`] — the
-    /// decode-to-index path used by the binary snapshot reader. The parts
-    /// are validated against exactly the invariants
-    /// [`TransactionSet::from_parts`] enforces, with identical error
-    /// wording ([`CsrError`]'s `Display`), so a corrupt artifact surfaces
-    /// the same way on either decode path; the resulting index is
-    /// bit-identical to `VerticalIndex::build(&TransactionSet::from_parts(..)?)`.
-    pub fn from_csr(n_items: u32, offsets: &[usize], items: &[u32]) -> Result<Self, CsrError> {
-        if offsets.first() != Some(&0) {
-            return Err(CsrError::BadStart);
-        }
-        let last = *offsets.last().expect("non-empty by the check above");
-        if last != items.len() {
-            return Err(CsrError::Coverage {
-                last,
-                items: items.len(),
-            });
-        }
-        // Monotonicity first, over the whole array: with a non-decreasing
-        // sequence ending at `items.len()`, every window then slices
-        // safely below.
-        for (t, w) in offsets.windows(2).enumerate() {
-            if w[1] < w[0] {
-                return Err(CsrError::Decreasing { transaction: t });
-            }
-        }
-        let n_transactions = offsets.len() - 1;
-        let words = n_transactions.div_ceil(64);
-        let mut bits = vec![0u64; n_items as usize * words];
-        for (t, w) in offsets.windows(2).enumerate() {
-            let txn = &items[w[0]..w[1]];
-            if let Some(&max) = txn.last() {
-                if max >= n_items {
-                    return Err(CsrError::ItemOutOfRange {
-                        transaction: t,
-                        item: max,
-                        n_items,
-                    });
-                }
-            }
-            if txn.windows(2).any(|p| p[1] <= p[0]) {
-                return Err(CsrError::Unsorted { transaction: t });
-            }
-            let (word, bit) = (t / 64, t % 64);
-            for &it in txn {
-                bits[it as usize * words + word] |= 1u64 << bit;
-            }
-        }
-        Ok(Self {
-            n_items,
-            n_transactions,
-            words,
-            bits,
-            repr: vec![RowRepr::Tidset; n_items as usize],
-        })
     }
 
     /// Size of the item universe the index was built over.
@@ -276,25 +74,7 @@ impl VerticalIndex {
         self.words
     }
 
-    /// How `item`'s row is stored. Panics if `item` is outside the
-    /// universe.
-    pub fn row_repr(&self, item: u32) -> RowRepr {
-        assert!(
-            item < self.n_items,
-            "item {item} out of range 0..{}",
-            self.n_items
-        );
-        self.repr[item as usize]
-    }
-
-    /// Number of rows stored as diffsets (0 for a [`Self::build`] index).
-    pub fn n_diffset_rows(&self) -> usize {
-        self.repr.iter().filter(|r| **r == RowRepr::Diffset).count()
-    }
-
-    /// The stored bits of `item`'s row — the tid bitset for a tidset row,
-    /// its complement for a diffset row (see [`Self::row_repr`]). Panics
-    /// if `item` is outside the universe.
+    /// The tid bitset of `item`. Panics if `item` is outside the universe.
     pub fn item_bits(&self, item: u32) -> &[u64] {
         assert!(
             item < self.n_items,
@@ -317,37 +97,23 @@ impl VerticalIndex {
         }
     }
 
-    /// The all-transactions mask (the empty itemset's cover), ragged tail
-    /// zeroed.
-    fn full_mask(&self) -> Vec<u64> {
-        (0..self.words).map(|w| self.full_word(w)).collect()
-    }
-
-    /// Support count of a single item. For a tidset row this is the
-    /// popcount of the row; for a diffset row it is `n` minus the
-    /// popcount of the stored complement. Items outside the universe
-    /// support nothing and count 0.
+    /// Support count of a single item: the popcount of its row. Items
+    /// outside the universe support nothing and count 0.
     pub fn item_support(&self, item: u32) -> u64 {
         if item >= self.n_items {
             return 0;
         }
-        let pop: u64 = self
-            .item_bits(item)
+        self.item_bits(item)
             .iter()
             .map(|w| u64::from(w.count_ones()))
-            .sum();
-        match self.repr[item as usize] {
-            RowRepr::Tidset => pop,
-            RowRepr::Diffset => self.n_transactions as u64 - pop,
-        }
+            .sum()
     }
 
-    /// Support count of a sorted item slice: the popcount of the itemset's
-    /// cover, folded over word chunks on `par` worker threads — tidset
-    /// rows AND into the fold, diffset rows AND-NOT
-    /// ([`focus_exec::popcount_andnot_all`]). The empty slice is the
-    /// empty itemset (supported by every transaction); any item outside
-    /// the universe makes the support 0.
+    /// Support count of a sorted item slice: the popcount of the AND of
+    /// its rows ([`focus_exec::popcount_and_all`]), folded over word
+    /// chunks on `par` worker threads. The empty slice is the empty
+    /// itemset (supported by every transaction); any item outside the
+    /// universe makes the support 0.
     pub fn support_count(&self, items: &[u32], par: Parallelism) -> u64 {
         if items.is_empty() {
             return self.n_transactions as u64;
@@ -355,31 +121,16 @@ impl VerticalIndex {
         if items.iter().any(|&it| it >= self.n_items) {
             return 0;
         }
-        let mut pos: Vec<&[u64]> = Vec::new();
-        let mut neg: Vec<&[u64]> = Vec::new();
-        for &it in items {
-            match self.repr[it as usize] {
-                RowRepr::Tidset => pos.push(self.item_bits(it)),
-                RowRepr::Diffset => neg.push(self.item_bits(it)),
-            }
-        }
-        if pos.is_empty() {
-            // Every item is dense: base the ANDNOT fold on the
-            // all-transactions mask so the ragged tail stays zeroed.
-            let full = self.full_mask();
-            return popcount_andnot_all(par, &[&full], &neg, WORD_GRAIN);
-        }
-        popcount_andnot_all(par, &pos, &neg, WORD_GRAIN)
+        let rows: Vec<&[u64]> = items.iter().map(|&it| self.item_bits(it)).collect();
+        popcount_and_all(par, &rows, WORD_GRAIN)
     }
 
-    /// Materialises the intersection of the given items' covers into
-    /// `out` (resized to the row width): the fold starts from the
-    /// all-transactions mask (ragged tail zeroed) and ANDs tidset rows /
-    /// AND-NOTs diffset rows, so bits at positions `≥ n_transactions`
-    /// stay zero regardless of representation. Returns `false` — leaving
-    /// `out` all zeros — if any item is outside the universe. An empty
-    /// `items` slice yields the all-transactions mask (the empty
-    /// itemset's cover).
+    /// Materialises the intersection of the given items' rows into `out`
+    /// (resized to the row width): the fold starts from the
+    /// all-transactions mask (ragged tail zeroed) and ANDs each row in.
+    /// Returns `false` — leaving `out` all zeros — if any item is outside
+    /// the universe. An empty `items` slice yields the all-transactions
+    /// mask (the empty itemset's cover).
     pub fn intersect_into(&self, items: &[u32], out: &mut Vec<u64>) -> bool {
         out.clear();
         out.resize(self.words, 0u64);
@@ -390,29 +141,16 @@ impl VerticalIndex {
             *o = self.full_word(w);
         }
         for &it in items {
-            let row = self.item_bits(it);
-            match self.repr[it as usize] {
-                RowRepr::Tidset => {
-                    for (o, w) in out.iter_mut().zip(row) {
-                        *o &= w;
-                    }
-                }
-                RowRepr::Diffset => {
-                    for (o, w) in out.iter_mut().zip(row) {
-                        *o &= !w;
-                    }
-                }
+            for (o, w) in out.iter_mut().zip(self.item_bits(it)) {
+                *o &= w;
             }
         }
         true
     }
 
-    /// The number of transactions in `mask` whose transaction also
-    /// contains `item`: `popcount(mask & row)` for a tidset row,
-    /// `popcount(mask & !d_row)` for a diffset row — the dEclat
-    /// prefix-extension step, `support(P ∪ {item}) = support(P) −
-    /// |cover(P) ∩ d(item)|`, in one masked pass either way. `mask` is a
-    /// cached (k−1)-prefix intersection and must have
+    /// The number of transactions in `mask` that also contain `item`:
+    /// `popcount(mask & row)` — the Eclat prefix-extension step. `mask`
+    /// is a cached (k−1)-prefix intersection and must have
     /// [`Self::words_per_item`] words with its ragged tail zeroed; items
     /// outside the universe count 0.
     pub fn count_with_mask(&self, mask: &[u64], item: u32) -> u64 {
@@ -420,38 +158,24 @@ impl VerticalIndex {
         if item >= self.n_items {
             return 0;
         }
-        let row = self.item_bits(item);
-        match self.repr[item as usize] {
-            RowRepr::Tidset => mask
-                .iter()
-                .zip(row)
-                .map(|(m, w)| u64::from((m & w).count_ones()))
-                .sum(),
-            RowRepr::Diffset => mask
-                .iter()
-                .zip(row)
-                .map(|(m, w)| u64::from((m & !w).count_ones()))
-                .sum(),
-        }
+        mask.iter()
+            .zip(self.item_bits(item))
+            .map(|(m, w)| u64::from((m & w).count_ones()))
+            .sum()
     }
 
-    /// Bytes held by the index: the bit matrix (the dominant allocation)
-    /// plus the one-byte-per-item representation table of the mixed
-    /// layout.
+    /// Bytes held by the bit matrix.
     pub fn memory_bytes(&self) -> usize {
-        self.bits.len() * 8 + self.repr.len()
+        self.bits.len() * 8
     }
 
-    /// The size [`Self::build`] (or [`Self::build_adaptive`] — the mixed
-    /// layout re-stores rows in place, never growing the matrix) would
-    /// allocate for `data`, without building it:
-    /// `n_items × ceil(n / 64) × 8` matrix bytes plus `n_items`
-    /// representation-table bytes. Used by the counting cost model
-    /// ([`crate::source::choose_backend`]) to refuse indexes over the
-    /// index budget. Saturates at `usize::MAX` — a universe big enough to
-    /// wrap the multiplication must read as "too big for the budget", not
-    /// as a small wrapped product that would let the cost model wave an
-    /// absurd allocation through.
+    /// The size [`Self::build`] would allocate for `data`, without
+    /// building it: `n_items × ceil(n / 64) × 8` bytes. Used by the
+    /// counting cost model ([`crate::source::prefers_index`]) to refuse
+    /// indexes over the index budget. Saturates at `usize::MAX` — a
+    /// universe big enough to wrap the multiplication must read as "too
+    /// big for the budget", not as a small wrapped product that would let
+    /// the cost model wave an absurd allocation through.
     pub fn estimate_bytes(data: &TransactionSet) -> usize {
         Self::estimate_bytes_for(data.n_items(), data.len())
     }
@@ -461,122 +185,26 @@ impl VerticalIndex {
         (n_items as usize)
             .checked_mul(n_transactions.div_ceil(64))
             .and_then(|words| words.checked_mul(8))
-            .and_then(|bytes| bytes.checked_add(n_items as usize))
             .unwrap_or(usize::MAX)
     }
 }
 
-/// How an itemset is resolved by the vertical counter: without touching
-/// the bit matrix, or via the word fold.
-enum Resolved {
-    /// The empty itemset: every transaction supports it.
-    All,
-    /// Contains an item outside the universe: nothing supports it.
-    None,
-    /// All items in range: fold the itemset's cover over word chunks.
-    Fold,
-}
-
-/// Splits `itemsets` into trivially resolved counts (empty itemset → `n`,
-/// out-of-range item → 0, pre-filled in the returned vector) and the slot
-/// indices that need a real fold.
+/// Splits `itemsets` into trivially resolved counts — the empty itemset
+/// counts `n`, an itemset with an item outside the universe counts 0 —
+/// pre-filled in the returned vector, and the slot indices that need a
+/// real fold.
 fn resolve_itemsets(index: &VerticalIndex, itemsets: &[Itemset]) -> (Vec<u64>, Vec<usize>) {
     let n = index.n_transactions() as u64;
-    let resolved: Vec<Resolved> = itemsets
-        .iter()
-        .map(|s| {
-            if s.is_empty() {
-                Resolved::All
-            } else if s.items().iter().any(|&it| it >= index.n_items()) {
-                Resolved::None
-            } else {
-                Resolved::Fold
-            }
-        })
-        .collect();
-    let counts: Vec<u64> = resolved
-        .iter()
-        .map(|r| match r {
-            Resolved::All => n,
-            _ => 0,
-        })
-        .collect();
-    let fold_slots: Vec<usize> = (0..itemsets.len())
-        .filter(|&i| matches!(resolved[i], Resolved::Fold))
-        .collect();
+    let mut counts = vec![0u64; itemsets.len()];
+    let mut fold_slots = Vec::with_capacity(itemsets.len());
+    for (i, s) in itemsets.iter().enumerate() {
+        if s.is_empty() {
+            counts[i] = n;
+        } else if s.items().iter().all(|&it| it < index.n_items()) {
+            fold_slots.push(i);
+        }
+    }
     (counts, fold_slots)
-}
-
-/// Counts, for each itemset, the number of supporting transactions using
-/// the vertical index: the popcount of the itemset's cover (tidset rows
-/// AND, diffset rows ANDNOT, on top of the all-transactions mask), with
-/// the *word* range fanned out over `par` worker threads via
-/// [`focus_exec::map_reduce`].
-///
-/// Per-chunk partial popcounts are `u64` and merge by addition in chunk
-/// order, so the counts are bit-identical to the sequential fold — and to
-/// [`count_itemsets_par`] — for every thread count and row
-/// representation.
-pub fn count_itemsets_vertical_par(
-    index: &VerticalIndex,
-    itemsets: &[Itemset],
-    par: Parallelism,
-) -> Vec<u64> {
-    let (mut counts, fold_slots) = resolve_itemsets(index, itemsets);
-    if fold_slots.is_empty() || index.words_per_item() == 0 {
-        return counts;
-    }
-
-    let full = index.full_mask();
-    let rows_per_slot: Vec<Vec<(&[u64], RowRepr)>> = fold_slots
-        .iter()
-        .map(|&i| {
-            itemsets[i]
-                .items()
-                .iter()
-                .map(|&it| (index.item_bits(it), index.row_repr(it)))
-                .collect()
-        })
-        .collect();
-    let folded = map_reduce(
-        par,
-        index.words_per_item(),
-        WORD_GRAIN,
-        |range| {
-            let mut partial = vec![0u64; fold_slots.len()];
-            for (slot, rows) in rows_per_slot.iter().enumerate() {
-                let mut total = 0u64;
-                for w in range.clone() {
-                    let mut acc = full[w];
-                    for &(row, repr) in rows {
-                        acc &= match repr {
-                            RowRepr::Tidset => row[w],
-                            RowRepr::Diffset => !row[w],
-                        };
-                    }
-                    total += u64::from(acc.count_ones());
-                }
-                partial[slot] = total;
-            }
-            partial
-        },
-        |mut a, b| {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-            a
-        },
-    )
-    .expect("words_per_item > 0");
-    for (slot, &i) in fold_slots.iter().enumerate() {
-        counts[i] = folded[slot];
-    }
-    counts
-}
-
-/// [`count_itemsets_vertical_par`] at the process-wide default parallelism.
-pub fn count_itemsets_vertical(index: &VerticalIndex, itemsets: &[Itemset]) -> Vec<u64> {
-    count_itemsets_vertical_par(index, itemsets, Parallelism::Global)
 }
 
 /// Batched prefix-run counting: sorts the workload internally (results
@@ -584,17 +212,15 @@ pub fn count_itemsets_vertical(index: &VerticalIndex, itemsets: &[Itemset]) -> V
 /// length sharing their first `k − 1` items into runs, materialises **one
 /// intersection mask per run** ([`VerticalIndex::intersect_into`]), and
 /// counts every member with a single masked popcount against its last
-/// item's row ([`VerticalIndex::count_with_mask`] — AND for tidset rows,
-/// ANDNOT for diffset rows).
+/// item's row ([`VerticalIndex::count_with_mask`]).
 ///
-/// This is the same shared-`(k−1)`-prefix batching the Apriori level loop
-/// uses, exposed for arbitrary workloads: a measure-extension scan over a
-/// mined model's GCR pays the `(k−1)`-row fold once per sibling run
+/// This is the one index-side counting kernel: the Apriori level loop
+/// counts its sorted candidates through it, and a measure-extension scan
+/// over a mined model's GCR pays the `(k−1)`-row fold once per sibling run
 /// instead of once per itemset. Runs fan out over `par` worker threads in
-/// run order and every count is an exact `u64` popcount of the same cover
-/// [`count_itemsets_vertical_par`] folds, so the counts are bit-identical
-/// to that ungrouped fold, to the horizontal scan, and to themselves for
-/// any thread count.
+/// run order and every count is an exact `u64` popcount of the itemset's
+/// cover, so the counts are bit-identical to the horizontal scan and to
+/// themselves for any thread count.
 pub fn count_itemsets_grouped_par(
     index: &VerticalIndex,
     itemsets: &[Itemset],
@@ -604,7 +230,6 @@ pub fn count_itemsets_grouped_par(
     if fold_slots.is_empty() || index.words_per_item() == 0 {
         return counts;
     }
-
     // Adjacency by (length, items): equal-length itemsets sharing a
     // (k−1)-prefix sort into consecutive runs. The sort is stable over
     // pre-sorted slot indices, so the run decomposition — and with it the
@@ -657,31 +282,6 @@ pub fn count_itemsets_grouped(index: &VerticalIndex, itemsets: &[Itemset]) -> Ve
     count_itemsets_grouped_par(index, itemsets, Parallelism::Global)
 }
 
-/// Counts itemset supports via whichever backend is profitable, as judged
-/// by the deterministic cost model in [`crate::source`]: a one-shot
-/// [`crate::source::CountSource`] over `data`, which builds a throwaway
-/// [`VerticalIndex`] only when the workload amortises the build and the
-/// index fits the process-wide budget, else falls through to the
-/// horizontal [`crate::model::count_itemsets_par`]. Callers that count
-/// repeatedly over the same dataset should hold their own `CountSource`
-/// instead, so the index is built once and cached.
-///
-/// Both backends produce identical `u64` counts for every thread count —
-/// the differential suite enforces this — so the dispatch heuristic can
-/// never change a result, only its cost.
-pub fn count_itemsets_auto_par(
-    data: &TransactionSet,
-    itemsets: &[Itemset],
-    par: Parallelism,
-) -> Vec<u64> {
-    crate::source::CountSource::borrowed(data).counts(itemsets, par)
-}
-
-/// [`count_itemsets_auto_par`] at the process-wide default parallelism.
-pub fn count_itemsets_auto(data: &TransactionSet, itemsets: &[Itemset]) -> Vec<u64> {
-    count_itemsets_auto_par(data, itemsets, Parallelism::Global)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -713,50 +313,34 @@ mod tests {
 
     #[test]
     fn counts_match_toy_example() {
-        let ts = toy();
-        let idx = VerticalIndex::build(&ts);
+        let idx = VerticalIndex::build(&toy());
         let sets = vec![
             Itemset::from_slice(&[0]),
             Itemset::from_slice(&[1]),
             Itemset::from_slice(&[0, 1]),
         ];
-        assert_eq!(count_itemsets_vertical(&idx, &sets), vec![3, 3, 2]);
-        // Both toy items are dense (support 3/4), so the adaptive index
-        // stores them as diffsets — with identical counts.
-        let adaptive = VerticalIndex::build_adaptive(&ts);
-        assert_eq!(adaptive.n_diffset_rows(), 2);
-        assert_eq!(adaptive.row_repr(0), RowRepr::Diffset);
-        assert_eq!(count_itemsets_vertical(&adaptive, &sets), vec![3, 3, 2]);
-        assert_eq!(count_itemsets_grouped(&adaptive, &sets), vec![3, 3, 2]);
+        assert_eq!(count_itemsets_grouped(&idx, &sets), vec![3, 3, 2]);
     }
 
     #[test]
     fn empty_itemset_counts_every_transaction() {
-        let ts = toy();
-        let idx = VerticalIndex::build(&ts);
+        let idx = VerticalIndex::build(&toy());
         let sets = vec![Itemset::new(vec![])];
-        assert_eq!(count_itemsets_vertical(&idx, &sets), vec![4]);
         assert_eq!(count_itemsets_grouped(&idx, &sets), vec![4]);
         assert_eq!(idx.support_count(&[], Parallelism::Sequential), 4);
     }
 
     #[test]
     fn out_of_range_items_count_zero() {
-        let ts = toy();
-        for idx in [
-            VerticalIndex::build(&ts),
-            VerticalIndex::build_adaptive(&ts),
-        ] {
-            let sets = vec![Itemset::from_slice(&[7]), Itemset::from_slice(&[0, 7])];
-            assert_eq!(count_itemsets_vertical(&idx, &sets), vec![0, 0]);
-            assert_eq!(count_itemsets_grouped(&idx, &sets), vec![0, 0]);
-            assert_eq!(idx.item_support(7), 0);
-            assert_eq!(idx.support_count(&[0, 7], Parallelism::Sequential), 0);
-            assert_eq!(
-                idx.count_with_mask(&vec![u64::MAX; idx.words_per_item()], 7),
-                0
-            );
-        }
+        let idx = VerticalIndex::build(&toy());
+        let sets = vec![Itemset::from_slice(&[7]), Itemset::from_slice(&[0, 7])];
+        assert_eq!(count_itemsets_grouped(&idx, &sets), vec![0, 0]);
+        assert_eq!(idx.item_support(7), 0);
+        assert_eq!(idx.support_count(&[0, 7], Parallelism::Sequential), 0);
+        assert_eq!(
+            idx.count_with_mask(&vec![u64::MAX; idx.words_per_item()], 7),
+            0
+        );
     }
 
     #[test]
@@ -765,10 +349,7 @@ mod tests {
         let idx = VerticalIndex::build(&ts);
         assert_eq!(idx.words_per_item(), 0);
         let sets = vec![Itemset::new(vec![]), Itemset::from_slice(&[1])];
-        assert_eq!(count_itemsets_vertical(&idx, &sets), vec![0, 0]);
         assert_eq!(count_itemsets_grouped(&idx, &sets), vec![0, 0]);
-        // An empty dataset has no dense items; adaptation is a no-op.
-        assert_eq!(VerticalIndex::build_adaptive(&ts).n_diffset_rows(), 0);
     }
 
     #[test]
@@ -790,32 +371,20 @@ mod tests {
             129,
             "all-transactions mask"
         );
-        // The universally-supported item goes diffset under adaptation,
-        // with an all-zero stored row — tail bits included.
-        let adaptive = VerticalIndex::build_adaptive(&ts);
-        assert_eq!(adaptive.row_repr(0), RowRepr::Diffset);
-        assert!(adaptive.item_bits(0).iter().all(|&w| w == 0));
-        assert_eq!(adaptive.item_support(0), 129);
-        assert_eq!(adaptive.support_count(&[0], Parallelism::Sequential), 129);
-        assert!(adaptive.intersect_into(&[0], &mut mask));
+        assert!(idx.intersect_into(&[0], &mut mask));
         assert_eq!(mask.iter().map(|w| w.count_ones()).sum::<u32>(), 129);
     }
 
     #[test]
     fn intersect_into_and_mask_extension_match_direct_counts() {
-        let ts = random_set(3, 500, 12, 0.35);
-        for idx in [
-            VerticalIndex::build(&ts),
-            VerticalIndex::build_adaptive(&ts),
-        ] {
-            let direct = idx.support_count(&[1, 4, 9], Parallelism::Sequential);
-            let mut mask = Vec::new();
-            assert!(idx.intersect_into(&[1, 4], &mut mask));
-            assert_eq!(idx.count_with_mask(&mask, 9), direct);
-            // Out-of-range prefix zeroes the mask.
-            assert!(!idx.intersect_into(&[1, 99], &mut mask));
-            assert!(mask.iter().all(|&w| w == 0));
-        }
+        let idx = VerticalIndex::build(&random_set(3, 500, 12, 0.35));
+        let direct = idx.support_count(&[1, 4, 9], Parallelism::Sequential);
+        let mut mask = Vec::new();
+        assert!(idx.intersect_into(&[1, 4], &mut mask));
+        assert_eq!(idx.count_with_mask(&mask, 9), direct);
+        // Out-of-range prefix zeroes the mask.
+        assert!(!idx.intersect_into(&[1, 99], &mut mask));
+        assert!(mask.iter().all(|&w| w == 0));
     }
 
     #[test]
@@ -824,7 +393,6 @@ mod tests {
             (1u64, 300, 10u32, 0.3),
             (2, 777, 16, 0.2),
             (9, 65, 6, 0.6),
-            // Dense enough that the adaptive index stores diffset rows.
             (17, 450, 8, 0.8),
         ] {
             let ts = random_set(seed, n, n_items, density);
@@ -839,56 +407,19 @@ mod tests {
             sets.push(Itemset::from_slice(&[0, 2, 4]));
             sets.push(Itemset::from_slice(&[n_items + 3]));
             let horizontal = count_itemsets_par(&ts, &sets, Parallelism::Sequential);
-            for idx in [
-                VerticalIndex::build(&ts),
-                VerticalIndex::build_adaptive(&ts),
-            ] {
-                assert_eq!(count_itemsets_vertical(&idx, &sets), horizontal);
-                assert_eq!(count_itemsets_grouped(&idx, &sets), horizontal);
-            }
+            let idx = VerticalIndex::build(&ts);
+            assert_eq!(count_itemsets_grouped(&idx, &sets), horizontal);
+            let direct: Vec<u64> = sets
+                .iter()
+                .map(|s| idx.support_count(s.items(), Parallelism::Sequential))
+                .collect();
+            assert_eq!(direct, horizontal);
         }
-    }
-
-    #[test]
-    fn adaptive_rows_follow_the_density_crossover() {
-        // Item 0 in every transaction (dense), item 1 in a strict
-        // majority, item 2 in exactly half, item 3 in none.
-        let mut ts = TransactionSet::new(4);
-        for t in 0..100 {
-            let mut txn = vec![0u32];
-            if t < 51 {
-                txn.push(1);
-            }
-            if t < 50 {
-                txn.push(2);
-            }
-            ts.push(txn);
-        }
-        let idx = VerticalIndex::build_adaptive(&ts);
-        assert_eq!(idx.row_repr(0), RowRepr::Diffset);
-        assert_eq!(idx.row_repr(1), RowRepr::Diffset);
-        assert_eq!(
-            idx.row_repr(2),
-            RowRepr::Tidset,
-            "exactly half stays tidset"
-        );
-        assert_eq!(idx.row_repr(3), RowRepr::Tidset);
-        assert_eq!(idx.n_diffset_rows(), 2);
-        // Idempotent: adapting again changes nothing.
-        let again = idx.clone().into_adaptive();
-        assert_eq!(again, idx);
-        // Supports survive the mixed layout.
-        assert_eq!(idx.item_support(0), 100);
-        assert_eq!(idx.item_support(1), 51);
-        assert_eq!(idx.item_support(2), 50);
-        assert_eq!(idx.item_support(3), 0);
-        assert_eq!(idx.support_count(&[0, 1, 2], Parallelism::Sequential), 50);
     }
 
     #[test]
     fn grouped_counting_shares_prefix_runs_in_any_input_order() {
-        let ts = random_set(23, 400, 10, 0.4);
-        let idx = VerticalIndex::build_adaptive(&ts);
+        let idx = VerticalIndex::build(&random_set(23, 400, 10, 0.4));
         // A shuffled workload with heavy prefix sharing, duplicates, and
         // trivial cases interleaved.
         let mut sets = vec![
@@ -902,7 +433,16 @@ mod tests {
             Itemset::from_slice(&[12]),
             Itemset::from_slice(&[2, 7]),
         ];
-        let reference = count_itemsets_vertical(&idx, &sets);
+        let reference: Vec<u64> = sets
+            .iter()
+            .map(|s| {
+                if s.items().iter().any(|&it| it >= idx.n_items()) {
+                    0
+                } else {
+                    idx.support_count(s.items(), Parallelism::Sequential)
+                }
+            })
+            .collect();
         assert_eq!(count_itemsets_grouped(&idx, &sets), reference);
         // Order invariance: reversing the workload permutes the counts
         // identically.
@@ -914,143 +454,18 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatch_matches_horizontal_on_both_sides_of_the_gate() {
-        // Small dataset (below AUTO_MIN_TRANSACTIONS) and large dataset
-        // (above): identical counts either way.
-        for n in [200usize, 2000] {
-            let ts = random_set(11, n, 9, 0.4);
-            let sets: Vec<Itemset> = (0..9u32)
-                .map(|i| Itemset::from_slice(&[i]))
-                .chain((0..8u32).map(|i| Itemset::from_slice(&[i, i + 1])))
-                .collect();
-            assert_eq!(
-                count_itemsets_auto_par(&ts, &sets, Parallelism::Sequential),
-                count_itemsets_par(&ts, &sets, Parallelism::Sequential),
-                "n = {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn from_csr_matches_build_and_rejects_bad_parts() {
-        // Well-formed CSR parts produce exactly the index `build` would.
-        let ts = random_set(13, 300, 8, 0.3);
-        let mut offsets = vec![0usize];
-        let mut items = Vec::new();
-        for txn in ts.iter() {
-            items.extend_from_slice(txn);
-            offsets.push(items.len());
-        }
-        let direct = VerticalIndex::from_csr(8, &offsets, &items).unwrap();
-        assert_eq!(direct, VerticalIndex::build(&ts));
-        // Every invariant violation is reported as a typed [`CsrError`]
-        // whose Display wording matches `TransactionSet::from_parts`,
-        // never repaired or panicked on. The bool marks cases safe to
-        // cross-check against `from_parts` (an offset overshooting the
-        // item column would make `from_parts` slice out of bounds before
-        // its own decrease check).
-        let cases: [(&[usize], &[u32], CsrError, bool); 6] = [
-            (&[1, 3], &[1, 3, 5], CsrError::BadStart, true),
-            (&[], &[], CsrError::BadStart, false),
-            (
-                &[0, 2],
-                &[1, 3, 5],
-                CsrError::Coverage { last: 2, items: 3 },
-                true,
-            ),
-            (
-                &[0, 2, 1, 2],
-                &[1, 3],
-                CsrError::Decreasing { transaction: 1 },
-                true,
-            ),
-            (
-                &[0, 1],
-                &[10],
-                CsrError::ItemOutOfRange {
-                    transaction: 0,
-                    item: 10,
-                    n_items: 10,
-                },
-                true,
-            ),
-            (
-                &[0, 2],
-                &[3, 1],
-                CsrError::Unsorted { transaction: 0 },
-                true,
-            ),
-        ];
-        for (offs, its, want, cross_check) in cases {
-            let err = VerticalIndex::from_csr(10, offs, its).unwrap_err();
-            assert_eq!(err, want, "{offs:?}/{its:?}");
-            if cross_check {
-                let same = TransactionSet::from_parts(10, offs.to_vec(), its.to_vec()).unwrap_err();
-                assert_eq!(err.to_string(), same, "wording must match from_parts");
-            }
-        }
-        // An overshooting offset (past the decrease check's reach in
-        // from_parts) still reports the decrease by name.
-        let err = VerticalIndex::from_csr(10, &[0, 5, 2], &[1, 3]).unwrap_err();
-        assert_eq!(err, CsrError::Decreasing { transaction: 1 });
-        // Empty dataset round-trips.
-        let empty = VerticalIndex::from_csr(4, &[0], &[]).unwrap();
-        assert_eq!(empty, VerticalIndex::build(&TransactionSet::new(4)));
-    }
-
-    #[test]
-    fn csr_error_displays_and_reaches_io_as_invalid_data() {
-        // Per-variant Display wording and the io-seam conversion.
-        let cases: [(CsrError, &str); 5] = [
-            (CsrError::BadStart, "offsets must start at 0"),
-            (
-                CsrError::Coverage { last: 7, items: 9 },
-                "last offset 7 does not cover the 9 items",
-            ),
-            (
-                CsrError::Decreasing { transaction: 3 },
-                "offsets decrease at transaction 3",
-            ),
-            (
-                CsrError::ItemOutOfRange {
-                    transaction: 2,
-                    item: 40,
-                    n_items: 12,
-                },
-                "transaction 2: item 40 out of range 0..12",
-            ),
-            (
-                CsrError::Unsorted { transaction: 5 },
-                "transaction 5 is not strictly increasing (sorted + deduplicated)",
-            ),
-        ];
-        for (err, want) in cases {
-            assert_eq!(err.to_string(), want);
-            let io: std::io::Error = err.into();
-            assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
-            assert_eq!(io.to_string(), want, "io wrapper preserves the message");
-        }
-    }
-
-    #[test]
     fn memory_accounting() {
         let ts = random_set(5, 130, 10, 0.3);
         let idx = VerticalIndex::build(&ts);
-        // Bit matrix plus the per-item representation table.
-        assert_eq!(idx.memory_bytes(), 10 * 3 * 8 + 10);
+        assert_eq!(idx.memory_bytes(), 10 * 3 * 8);
         assert_eq!(VerticalIndex::estimate_bytes(&ts), idx.memory_bytes());
-        // Adaptation re-stores rows in place: same footprint either way.
-        assert_eq!(
-            VerticalIndex::build_adaptive(&ts).memory_bytes(),
-            idx.memory_bytes()
-        );
     }
 
     #[test]
     fn estimate_bytes_saturates_instead_of_wrapping() {
         // A pathological universe whose n_items × words × 8 product
         // overflows usize must read as "too big", never as a small
-        // wrapped product the AUTO_MAX_INDEX_BYTES gate would accept.
+        // wrapped product the index budget would accept.
         assert_eq!(
             VerticalIndex::estimate_bytes_for(u32::MAX, usize::MAX),
             usize::MAX
@@ -1060,8 +475,8 @@ mod tests {
             VerticalIndex::estimate_bytes_for(u32::MAX, usize::MAX / 2),
             usize::MAX
         );
-        // Sane inputs are exact (matrix plus representation table).
-        assert_eq!(VerticalIndex::estimate_bytes_for(10, 130), 10 * 3 * 8 + 10);
+        // Sane inputs are exact.
+        assert_eq!(VerticalIndex::estimate_bytes_for(10, 130), 10 * 3 * 8);
         assert_eq!(VerticalIndex::estimate_bytes_for(0, 1 << 40), 0);
     }
 

@@ -13,88 +13,45 @@
 //! candidates rather than in `C(|t|, k)` — the practical trick that replaces
 //! the original paper's hash tree.
 //!
-//! Step 3 is pluggable ([`CountBackend`]): the default prefix-guided DFS,
-//! the classical hash tree of [`crate::hashtree`], Eclat-style vertical
-//! tid-bitset intersection ([`focus_core::vertical`]) — one cached
-//! `(k−1)`-prefix bitset per candidate run, one masked popcount per
-//! extension — or [`CountBackend::Auto`], which consults the cost model of
-//! [`focus_core::source`] once per level and switches to the vertical index
-//! the first level the projected scan cost favours it (the index then
-//! serves every later level). All backends produce identical `u64` counts,
-//! hence identical mined models.
+//! Step 3 runs on one of the two arms of the counting engine
+//! ([`CountBackend`]). Under the default [`CountBackend::Auto`] the cost
+//! model of [`focus_core::source`] is consulted once per level, and the
+//! first level whose projected scan cost favours the vertical tid-bitset
+//! index ([`focus_core::vertical`]) builds it; that level and every later
+//! one count through the batched prefix-run kernel
+//! ([`count_itemsets_grouped_par`]) — one cached `(k−1)`-prefix mask per
+//! candidate run, one masked popcount per extension. Both arms produce
+//! identical `u64` counts, hence identical mined models.
 
-use crate::hashtree::HashTree;
 use focus_core::data::TransactionSet;
 use focus_core::model::LitsModel;
 use focus_core::region::Itemset;
-use focus_core::source::{choose_backend, global_index_budget, BackendChoice};
-use focus_core::vertical::VerticalIndex;
-use focus_exec::{map_chunks, map_indices, merge_counts, Parallelism};
+use focus_core::source::{global_index_budget, prefers_index};
+use focus_core::vertical::{count_itemsets_grouped_par, VerticalIndex};
+use focus_exec::{map_chunks, merge_counts, Parallelism};
 use std::collections::{HashMap, HashSet};
 
 /// Minimum transactions per worker chunk for the counting scans.
 const SCAN_GRAIN: usize = focus_exec::DEFAULT_GRAIN;
 
-/// Which support-counting backend the miner uses for candidate levels.
+/// Which arm of the counting engine the miner uses for candidate levels.
 ///
-/// All backends count the same thing and are parity-tested to agree
-/// exactly, so the mined model is backend-independent; they differ only in
-/// cost shape. See the README's "counting backends" section for guidance.
+/// Both arms count the same thing and are parity-tested to agree exactly,
+/// so the mined model is backend-independent; they differ only in cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CountBackend {
-    /// Prefix-guided depth-first subset enumeration per transaction (the
-    /// default; fastest on the paper's sparse market-basket workloads).
-    #[default]
-    Dfs,
-    /// The hash tree of Agrawal & Srikant '94: wins when candidates are
-    /// dense over few distinct items.
-    HashTree,
-    /// Eclat-style vertical tid-bitset intersection: wins when many
-    /// candidates are counted over many transactions.
-    Vertical,
-    /// The vertical index with dEclat diffset rows for dense items
-    /// ([`VerticalIndex::build_adaptive`]): same word fold, complement
-    /// rows AND-NOT into it. Counts are identical to `Vertical`; the
-    /// layout pays off on dense datasets.
-    Diffset,
-    /// Cost-model dispatch: each level asks
-    /// [`focus_core::source::choose_backend`] whether the projected
+    /// Cost-model dispatch (the default): each level asks
+    /// [`focus_core::source::prefers_index`] whether the projected
     /// candidate workload amortises building the vertical index (within the
-    /// process-wide index budget) — and, if so, whether the data is dense
-    /// enough for the diffset-adaptive layout; until a build wins, levels
-    /// count with the DFS. The decision depends only on data shape and
-    /// workload — never thread count or timing — so the chosen backend
-    /// sequence, and hence the mined model, is identical on every run.
+    /// process-wide index budget); until a build wins, levels count with
+    /// the DFS scan. The decision depends only on data shape and workload —
+    /// never thread count or timing — so the chosen arm sequence, and hence
+    /// the mined model, is identical on every run.
+    #[default]
     Auto,
-}
-
-impl CountBackend {
-    /// The valid spellings, for CLI/diagnostic messages.
-    pub const VALID_VALUES: &'static str = "dfs, hashtree, vertical, diffset or auto";
-
-    /// Parses a user-facing backend name (`dfs`, `hashtree`/`hash-tree`,
-    /// `vertical`, `diffset`, `auto`), case-insensitively.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "dfs" => Some(Self::Dfs),
-            "hashtree" | "hash-tree" | "hash_tree" => Some(Self::HashTree),
-            "vertical" => Some(Self::Vertical),
-            "diffset" => Some(Self::Diffset),
-            "auto" => Some(Self::Auto),
-            _ => None,
-        }
-    }
-
-    /// The canonical name [`Self::parse`] accepts.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Self::Dfs => "dfs",
-            Self::HashTree => "hashtree",
-            Self::Vertical => "vertical",
-            Self::Diffset => "diffset",
-            Self::Auto => "auto",
-        }
-    }
+    /// Forced horizontal: every level counts with the prefix-guided DFS
+    /// scan. The reference the differential tests compare `Auto` against.
+    Dfs,
 }
 
 /// Tuning parameters for the miner.
@@ -118,7 +75,7 @@ pub struct AprioriParams {
     /// setting: per-chunk transaction counts merge by `u64` addition.
     pub parallelism: Parallelism,
     /// Support-counting backend for candidate levels (default
-    /// [`CountBackend::Dfs`]). Mined models are backend-independent.
+    /// [`CountBackend::Auto`]). Mined models are backend-independent.
     pub backend: CountBackend,
 }
 
@@ -134,7 +91,7 @@ impl AprioriParams {
             max_len: None,
             min_count_floor: 1,
             parallelism: Parallelism::Global,
-            backend: CountBackend::Dfs,
+            backend: CountBackend::Auto,
         }
     }
 
@@ -191,51 +148,39 @@ impl Apriori {
 
         let mut all_frequent: Vec<(Itemset, u64)> = Vec::new();
 
-        // The vertical backends build their tid-bitset index once, up
-        // front — all-tidset for `Vertical`, diffset-adaptive for
-        // `Diffset` — and every level then counts by word-level
-        // AND/ANDNOT + popcount against it. Auto defers the build (and
-        // the layout choice) to the cost model inside the level loop.
-        // The index budget is snapshotted once so a concurrent
-        // `set_global_index_budget` cannot split one run's decisions.
-        let budget = global_index_budget();
-        let mut vindex = match self.params.backend {
-            CountBackend::Vertical => Some(VerticalIndex::build(data)),
-            CountBackend::Diffset => Some(VerticalIndex::build_adaptive(data)),
-            _ => None,
-        };
-
-        // Level 1: per-item counts. Horizontal backends use a plain array
-        // count over transaction chunks merged by addition; the vertical
-        // backend popcounts each item's row. Both are exact `u64` tallies
-        // of the same memberships, so the counts are identical.
-        let item_counts = match &vindex {
-            Some(idx) => map_indices(self.params.parallelism, data.n_items() as usize, |i| {
-                idx.item_support(i as u32)
-            }),
-            None => merge_counts(map_chunks(
-                self.params.parallelism,
-                data.len(),
-                SCAN_GRAIN,
-                |range| {
-                    let mut counts = vec![0u64; data.n_items() as usize];
-                    for t in range {
-                        for &it in data.get(t) {
-                            counts[it as usize] += 1;
-                        }
+        // Level 1: per-item counts, a plain array count over transaction
+        // chunks merged by addition.
+        let item_counts = merge_counts(map_chunks(
+            self.params.parallelism,
+            data.len(),
+            SCAN_GRAIN,
+            |range| {
+                let mut counts = vec![0u64; data.n_items() as usize];
+                for t in range {
+                    for &it in data.get(t) {
+                        counts[it as usize] += 1;
                     }
-                    counts
-                },
-            )),
-        };
-        let mut frontier: Vec<Vec<u32>> = Vec::new();
+                }
+                counts
+            },
+        ));
+        let mut frontier: Vec<Itemset> = Vec::new();
         for (it, &c) in item_counts.iter().enumerate() {
             if c >= min_count {
-                frontier.push(vec![it as u32]);
-                all_frequent.push((Itemset::new(vec![it as u32]), c));
+                let single = Itemset::new(vec![it as u32]);
+                frontier.push(single.clone());
+                all_frequent.push((single, c));
             }
         }
 
+        // Auto builds the index the first level whose candidate workload
+        // amortises it; once built it serves every later level (this loop
+        // is strictly sequential, so consulting the already-built state
+        // stays deterministic). The index budget is snapshotted once so a
+        // concurrent `set_global_index_budget` cannot split one run's
+        // decisions.
+        let budget = global_index_budget();
+        let mut vindex: Option<VerticalIndex> = None;
         let mut k = 2usize;
         while !frontier.is_empty() {
             if let Some(cap) = self.params.max_len {
@@ -247,40 +192,26 @@ impl Apriori {
             if candidates.is_empty() {
                 break;
             }
-            // Auto: build the index the first level whose candidate
-            // workload amortises it; once built it serves every later
-            // level (this loop is strictly sequential, so consulting the
-            // already-built state stays deterministic).
-            if self.params.backend == CountBackend::Auto && vindex.is_none() {
-                match choose_backend(
-                    candidates.len(),
+            if self.params.backend == CountBackend::Auto
+                && vindex.is_none()
+                && prefers_index(
                     candidates.len() * k,
                     n,
                     data.n_items(),
                     data.total_items(),
-                    false,
                     budget,
-                ) {
-                    BackendChoice::Horizontal => {}
-                    BackendChoice::Tidset => vindex = Some(VerticalIndex::build(data)),
-                    BackendChoice::Diffset => vindex = Some(VerticalIndex::build_adaptive(data)),
-                }
+                )
+            {
+                vindex = Some(VerticalIndex::build(data));
             }
             let counts = match &vindex {
-                Some(idx) => {
-                    count_candidates_vertical(idx, &candidates, k, self.params.parallelism)
-                }
-                None => match self.params.backend {
-                    CountBackend::HashTree => {
-                        HashTree::build(&candidates, k).count_set(data, self.params.parallelism)
-                    }
-                    _ => count_candidates(data, &candidates, k, self.params.parallelism),
-                },
+                Some(idx) => count_itemsets_grouped_par(idx, &candidates, self.params.parallelism),
+                None => count_candidates(data, &candidates, k, self.params.parallelism),
             };
-            let mut next: Vec<Vec<u32>> = Vec::new();
+            let mut next: Vec<Itemset> = Vec::new();
             for (cand, count) in candidates.into_iter().zip(counts) {
                 if count >= min_count {
-                    all_frequent.push((Itemset::new(cand.clone()), count));
+                    all_frequent.push((cand.clone(), count));
                     next.push(cand);
                 }
             }
@@ -295,12 +226,12 @@ impl Apriori {
 }
 
 /// Join + prune: candidates of size `k` from frequent itemsets of size
-/// `k − 1` (all sorted item vectors).
-fn generate_candidates(frequent: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    let freq_set: HashSet<&[u32]> = frequent.iter().map(|v| v.as_slice()).collect();
+/// `k − 1`, returned sorted.
+fn generate_candidates(frequent: &[Itemset]) -> Vec<Itemset> {
+    let freq_set: HashSet<&[u32]> = frequent.iter().map(Itemset::items).collect();
     // Frequent itemsets are sorted lexicographically so prefix-sharing pairs
     // are adjacent runs.
-    let mut sorted: Vec<&Vec<u32>> = frequent.iter().collect();
+    let mut sorted: Vec<&[u32]> = frequent.iter().map(Itemset::items).collect();
     sorted.sort();
     let mut out = Vec::new();
     let k1 = match sorted.first() {
@@ -317,11 +248,11 @@ fn generate_candidates(frequent: &[Vec<u32>]) -> Vec<Vec<u32>> {
         }
         for i in start..end {
             for j in (i + 1)..end {
-                let mut cand = sorted[i].clone();
+                let mut cand = sorted[i].to_vec();
                 cand.push(*sorted[j].last().expect("non-empty itemset"));
                 // Downward-closure prune: every (k−1)-subset frequent.
                 if all_subsets_frequent(&cand, &freq_set) {
-                    out.push(cand);
+                    out.push(Itemset::new(cand));
                 }
             }
         }
@@ -359,7 +290,7 @@ fn all_subsets_frequent(cand: &[u32], freq_set: &HashSet<&[u32]>) -> bool {
 /// the counts are bit-identical to a sequential scan.
 fn count_candidates(
     data: &TransactionSet,
-    candidates: &[Vec<u32>],
+    candidates: &[Itemset],
     k: usize,
     par: Parallelism,
 ) -> Vec<u64> {
@@ -367,14 +298,18 @@ fn count_candidates(
     let mut index: HashMap<&[u32], usize> = HashMap::with_capacity(candidates.len());
     let mut prefixes: HashSet<&[u32]> = HashSet::new();
     for (i, c) in candidates.iter().enumerate() {
-        index.insert(c.as_slice(), i);
+        let c = c.items();
+        index.insert(c, i);
         for plen in 1..k {
             prefixes.insert(&c[..plen]);
         }
     }
     // Items that appear in at least one candidate: transactions are filtered
     // to these before enumeration.
-    let active: HashSet<u32> = candidates.iter().flatten().copied().collect();
+    let active: HashSet<u32> = candidates
+        .iter()
+        .flat_map(|c| c.items().iter().copied())
+        .collect();
 
     let (index, prefixes, active) = (&index, &prefixes, &active);
     let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
@@ -395,53 +330,6 @@ fn count_candidates(
         return vec![0u64; candidates.len()];
     }
     merge_counts(parts)
-}
-
-/// Vertical (Eclat-style) candidate counting against a prebuilt
-/// [`VerticalIndex`]: candidates arrive sorted from the join, so runs
-/// sharing a `(k−1)`-prefix are adjacent. Each run intersects its prefix
-/// rows into a cached bitset once, then counts every extension with a
-/// single masked popcount — `O(words)` per candidate instead of a
-/// transaction walk.
-///
-/// Runs fan out over `par` worker threads in run order; every count is an
-/// exact `u64` popcount, so the result is bit-identical to the sequential
-/// fold (and to the other backends) for any thread count.
-fn count_candidates_vertical(
-    index: &VerticalIndex,
-    candidates: &[Vec<u32>],
-    k: usize,
-    par: Parallelism,
-) -> Vec<u64> {
-    debug_assert!(k >= 2, "level-1 counts come from the item rows directly");
-    let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
-    let mut start = 0;
-    while start < candidates.len() {
-        let prefix = &candidates[start][..k - 1];
-        let mut end = start + 1;
-        while end < candidates.len() && candidates[end][..k - 1] == *prefix {
-            end += 1;
-        }
-        runs.push(start..end);
-        start = end;
-    }
-    let per_run = map_indices(par, runs.len(), |r| {
-        let run = runs[r].clone();
-        let mut mask = Vec::new();
-        // Prefix items are frequent items of the dataset, so they are
-        // always inside the universe; a false here still counts 0 safely.
-        let in_range = index.intersect_into(&candidates[run.start][..k - 1], &mut mask);
-        run.map(|c| {
-            let &last = candidates[c].last().expect("candidates have length k >= 2");
-            if in_range {
-                index.count_with_mask(&mask, last)
-            } else {
-                0
-            }
-        })
-        .collect::<Vec<u64>>()
-    });
-    per_run.into_iter().flatten().collect()
 }
 
 fn dfs_count(
@@ -600,9 +488,12 @@ mod tests {
         // Join on shared prefix: {0,1}+{0,2}→{0,1,2}; {1,2}+{1,3}→{1,2,3}.
         // {0,1,2} survives the prune ({0,1},{0,2},{1,2} all frequent);
         // {1,2,3} is pruned because {2,3} is not frequent.
-        let frequent = vec![vec![0, 1], vec![0, 2], vec![1, 2], vec![1, 3]];
+        let frequent: Vec<Itemset> = [[0, 1], [0, 2], [1, 2], [1, 3]]
+            .iter()
+            .map(|s| Itemset::from_slice(s))
+            .collect();
         let cands = generate_candidates(&frequent);
-        assert_eq!(cands, vec![vec![0, 1, 2]]);
+        assert_eq!(cands, vec![Itemset::from_slice(&[0, 1, 2])]);
     }
 
     #[test]
@@ -639,104 +530,30 @@ mod tests {
             }
             for minsup in [0.05, 0.2] {
                 let base = AprioriParams::with_minsup(minsup).max_len(6);
-                let reference = Apriori::new(base).mine(&data);
-                for backend in [
-                    CountBackend::HashTree,
-                    CountBackend::Vertical,
-                    CountBackend::Diffset,
-                    CountBackend::Auto,
-                ] {
-                    let m = Apriori::new(base.backend(backend)).mine(&data);
-                    assert_eq!(
-                        m,
-                        reference,
-                        "trial {trial} minsup {minsup} backend {}",
-                        backend.as_str()
-                    );
-                }
+                let auto = Apriori::new(base).mine(&data);
+                let dfs = Apriori::new(base.backend(CountBackend::Dfs)).mine(&data);
+                assert_eq!(auto, dfs, "trial {trial} minsup {minsup}");
             }
         }
     }
 
     #[test]
-    fn vertical_backend_on_empty_and_tiny_data() {
-        let empty = TransactionSet::new(4);
-        let params = AprioriParams::with_minsup(0.1).backend(CountBackend::Vertical);
-        assert!(Apriori::new(params).mine(&empty).is_empty());
-
-        let data = dataset(&[&[0, 2, 3], &[1, 2, 4], &[0, 1, 2, 4], &[1, 4]], 5);
-        let vertical =
-            Apriori::new(AprioriParams::with_minsup(0.5).backend(CountBackend::Vertical))
-                .mine(&data);
-        let dfs = Apriori::new(AprioriParams::with_minsup(0.5)).mine(&data);
-        assert_eq!(vertical, dfs);
-    }
-
-    #[test]
-    fn diffset_backend_matches_dfs_on_dense_data() {
-        // Dense rows (≈ 3/4 fill) make most items cross the per-row 1/2
-        // density threshold, so the adaptive index really holds diffset
-        // rows — and the mined model must not move.
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut data = TransactionSet::new(10);
-        for _ in 0..300 {
-            let t: Vec<u32> = (0..10).filter(|_| rng.gen::<f64>() < 0.75).collect();
-            data.push(t);
-        }
-        let base = AprioriParams::with_minsup(0.3).max_len(6);
-        let dfs = Apriori::new(base).mine(&data);
-        let diffset = Apriori::new(base.backend(CountBackend::Diffset)).mine(&data);
-        assert_eq!(diffset, dfs);
-        assert!(!diffset.is_empty(), "dense data should mine itemsets");
-    }
-
-    #[test]
-    fn count_backend_parsing() {
-        assert_eq!(CountBackend::parse("dfs"), Some(CountBackend::Dfs));
-        assert_eq!(CountBackend::parse("DFS"), Some(CountBackend::Dfs));
-        assert_eq!(
-            CountBackend::parse("hashtree"),
-            Some(CountBackend::HashTree)
-        );
-        assert_eq!(
-            CountBackend::parse("hash-tree"),
-            Some(CountBackend::HashTree)
-        );
-        assert_eq!(
-            CountBackend::parse("vertical"),
-            Some(CountBackend::Vertical)
-        );
-        assert_eq!(CountBackend::parse("diffset"), Some(CountBackend::Diffset));
-        assert_eq!(CountBackend::parse("auto"), Some(CountBackend::Auto));
-        assert_eq!(CountBackend::parse("eclat?"), None);
-        for b in [
-            CountBackend::Dfs,
-            CountBackend::HashTree,
-            CountBackend::Vertical,
-            CountBackend::Diffset,
-            CountBackend::Auto,
-        ] {
-            assert_eq!(CountBackend::parse(b.as_str()), Some(b), "round-trip");
-            assert!(
-                CountBackend::VALID_VALUES.contains(b.as_str()),
-                "{} missing from VALID_VALUES",
-                b.as_str()
-            );
-        }
-        assert_eq!(CountBackend::default(), CountBackend::Dfs);
+    fn auto_is_the_default_backend() {
+        assert_eq!(CountBackend::default(), CountBackend::Auto);
+        assert_eq!(AprioriParams::with_minsup(0.1).backend, CountBackend::Auto);
     }
 
     #[test]
     fn auto_backend_on_empty_and_tiny_data() {
-        let params = AprioriParams::with_minsup(0.1).backend(CountBackend::Auto);
+        let params = AprioriParams::with_minsup(0.1).backend(CountBackend::Dfs);
         assert!(Apriori::new(params)
             .mine(&TransactionSet::new(4))
             .is_empty());
 
         let data = dataset(&[&[0, 2, 3], &[1, 2, 4], &[0, 1, 2, 4], &[1, 4]], 5);
-        let auto =
-            Apriori::new(AprioriParams::with_minsup(0.5).backend(CountBackend::Auto)).mine(&data);
-        let dfs = Apriori::new(AprioriParams::with_minsup(0.5)).mine(&data);
+        let auto = Apriori::new(AprioriParams::with_minsup(0.5)).mine(&data);
+        let dfs =
+            Apriori::new(AprioriParams::with_minsup(0.5).backend(CountBackend::Dfs)).mine(&data);
         assert_eq!(auto, dfs);
     }
 

@@ -27,10 +27,8 @@
 
 pub mod apriori;
 pub mod condense;
-pub mod hashtree;
 pub mod rules;
 
 pub use apriori::{Apriori, AprioriParams, CountBackend};
 pub use condense::{closed_itemsets, maximal_itemsets};
-pub use hashtree::HashTree;
 pub use rules::{generate_rules, rule_set_deviation, Rule};

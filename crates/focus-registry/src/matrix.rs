@@ -16,7 +16,9 @@
 //! ([`ModelFamily::bound_dominates`]): for the lits family that means any
 //! non-`f_a` difference function or a mixed-minsup pair; for dt any
 //! non-`f_a` difference or a class-count mismatch; for cluster any
-//! non-`f_a` difference. Undominated pairs always get an exact scan.
+//! non-`f_a` difference. Undominated pairs always get an exact scan, and
+//! so do pairs whose bound is NaN or infinite (e.g. from a model file
+//! carrying a `nan` support): only a finite bound certifies a prune.
 //!
 //! Where the bound is additionally a pseudo-metric
 //! ([`ModelFamily::BOUND_IS_METRIC`] — lits and dt, *not* cluster),
@@ -252,11 +254,20 @@ pub(crate) fn pair_bounds<F: ModelFamily>(
     }))
 }
 
+/// Whether a dominating bound `b` certifies that its pair may skip the
+/// exact scan at `threshold`. Screening fails closed: only a finite bound
+/// at or below the threshold prunes, so a NaN or infinite bound — e.g.
+/// from a model file carrying a `nan` support — always gets its pair
+/// scanned.
+fn prunable(b: f64, threshold: f64) -> bool {
+    b.is_finite() && b <= threshold
+}
+
 /// The pair indices (into [`pairs`] order) whose exact scan survives
 /// screening under `params`. A pair can be pruned only when its bound is
-/// certified to dominate ([`ModelFamily::bound_dominates`]); among those,
-/// either the threshold cut or the top-K cut applies. With no bounds at
-/// all, every pair survives.
+/// finite and certified to dominate ([`ModelFamily::bound_dominates`]);
+/// among those, either the threshold cut ([`prunable`]) or the top-K cut
+/// applies. With no bounds at all, every pair survives.
 fn surviving_pairs<F: ModelFamily>(
     models: &[F::Model],
     bounds: Option<&[f64]>,
@@ -272,17 +283,19 @@ fn surviving_pairs<F: ModelFamily>(
         .collect();
     match params.top {
         None => (0..bounds.len())
-            .filter(|&p| !dominated[p] || bounds[p] > params.threshold)
+            .filter(|&p| !dominated[p] || !prunable(bounds[p], params.threshold))
             .collect(),
         Some(k) => {
             // Rank the screenable pairs by bound, largest first; ties break
-            // to the lower pair index so the cut is deterministic.
-            let mut ranked: Vec<usize> = (0..bounds.len()).filter(|&p| dominated[p]).collect();
+            // to the lower pair index so the cut is deterministic. A
+            // non-finite bound ranks nothing and always survives.
+            let screenable = |p: usize| dominated[p] && bounds[p].is_finite();
+            let mut ranked: Vec<usize> = (0..bounds.len()).filter(|&p| screenable(p)).collect();
             ranked.sort_by(|&a, &b| bounds[b].total_cmp(&bounds[a]).then(a.cmp(&b)));
             ranked.truncate(k);
             let keep: std::collections::HashSet<usize> = ranked.into_iter().collect();
             (0..bounds.len())
-                .filter(|&p| !dominated[p] || keep.contains(&p))
+                .filter(|&p| !screenable(p) || keep.contains(&p))
                 .collect()
         }
     }
@@ -490,13 +503,15 @@ pub(crate) fn plan_new_pairs<F: ModelFamily>(
                 let mut lower = 0.0f64;
                 for &j in &anchors {
                     let base_ij = base.bound(i, j);
-                    if base_ij.is_nan() {
-                        continue; // triangle hole in the base grid
+                    if !(base_ij.is_finite() && bounds[j].is_finite()) {
+                        // A triangle hole in the base grid, or a
+                        // non-finite bound: no envelope to take.
+                        continue;
                     }
                     upper = upper.min(base_ij + bounds[j]);
                     lower = lower.max((base_ij - bounds[j]).abs());
                 }
-                if upper <= params.threshold {
+                if prunable(upper, params.threshold) {
                     skipped += 1; // certified prunable — no eval, no scan
                     continue;
                 }
@@ -510,7 +525,7 @@ pub(crate) fn plan_new_pairs<F: ModelFamily>(
                 .expect("HAS_BOUND families always bound");
             bounds[i] = b;
             anchors.push(i);
-            if !dominated[i] || b > params.threshold {
+            if !dominated[i] || !prunable(b, params.threshold) {
                 survivors.push(i);
             }
         }
@@ -525,7 +540,7 @@ pub(crate) fn plan_new_pairs<F: ModelFamily>(
             .expect("HAS_BOUND families always bound")
     });
     let survivors = (0..last)
-        .filter(|&i| !dominated[i] || bounds[i] > params.threshold)
+        .filter(|&i| !dominated[i] || !prunable(bounds[i], params.threshold))
         .collect();
     NewPairPlan {
         bounds: Some(bounds),

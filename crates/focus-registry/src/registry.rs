@@ -59,7 +59,6 @@ use crate::shard::{RegistryLayout, LAYOUT_FILE};
 use focus_core::data::TransactionSet;
 use focus_core::family::LitsFamily;
 use focus_core::model::LitsModel;
-use focus_core::source::CountSource;
 use focus_mining::{Apriori, AprioriParams};
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
@@ -667,30 +666,6 @@ impl Registry {
         }
     }
 
-    /// Loads one **lits** snapshot as an owning [`CountSource`] — the
-    /// counting handle the deviation engines scan through. Binary
-    /// registries take the decode-to-index seam: the vertical tid-bitset
-    /// index is built straight from the (memory-mapped) columnar words in
-    /// one pass, with the same checksum and CSR validation as
-    /// [`Registry::load_snapshot_dataset`] but no intermediate
-    /// `TransactionSet`. Text registries wrap the parsed dataset, so the
-    /// index is built lazily if and when the cost model wants it. Either
-    /// way counts are bit-identical to scanning the loaded dataset.
-    pub fn load_snapshot_source(&self, name: &str) -> std::io::Result<CountSource<'static>> {
-        self.check_kind::<LitsFamily>(name)?;
-        let path = self.artifact_path(name, <LitsFamily as SnapshotFamily>::DATA_EXT);
-        match self.layout.format {
-            StorageFormat::Text => Ok(CountSource::from_owned(
-                <LitsFamily as SnapshotFamily>::read_dataset(File::open(path)?)?,
-            )),
-            StorageFormat::Binary => {
-                let index =
-                    crate::binfmt::decode_transactions_to_index(&MappedBytes::open(&path)?)?;
-                Ok(CountSource::from_index(index))
-            }
-        }
-    }
-
     fn check_kind<F: SnapshotFamily>(&self, name: &str) -> std::io::Result<()> {
         let entry = self
             .entry(name)
@@ -935,6 +910,55 @@ mod tests {
     }
 
     #[test]
+    fn nan_support_in_a_model_file_fails_screening_closed() {
+        // The text lits-model reader accepts a `nan` support, which makes
+        // every δ* bound against that model NaN. A NaN bound certifies
+        // nothing, so screening must plan those pairs for an exact scan
+        // rather than prune them: under a threshold, under `--top`, and
+        // when the model joins an existing matrix (triangle on or off).
+        let dir = scratch("nan-bound");
+        let mut reg = Registry::open_or_create(&dir).unwrap();
+        let cut = MatrixParams {
+            threshold: 1e9,
+            ..MatrixParams::default()
+        };
+        for (seed, name) in [(1, "a"), (2, "b")] {
+            reg.add(name, &random_dataset(seed, 200, 0.0), 0.1).unwrap();
+        }
+        let base = reg.matrix(&cut).unwrap();
+        assert_eq!(base.scanned(), 0, "finite bounds under the cut all prune");
+        reg.add("c", &random_dataset(3, 200, 0.0), 0.1).unwrap();
+        let path = dir.join("c.lits");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (head, tail) = text.split_once(" | ").expect("an itemset line");
+        let rest = tail.split_once('\n').expect("a line break").1;
+        std::fs::write(&path, format!("{head} | nan\n{rest}")).unwrap();
+
+        let models = reg.load_models().unwrap();
+        assert!(models[2].supports()[0].is_nan());
+        let bounds = crate::matrix::pair_bounds::<LitsFamily>(&models, cut.agg, cut.par);
+        let top = MatrixParams {
+            top: Some(0),
+            ..MatrixParams::default()
+        };
+        for params in [&cut, &top] {
+            // Every member pairs with `c`, so every dataset is needed.
+            assert_eq!(
+                crate::matrix::screened_members::<LitsFamily>(&models, bounds.as_deref(), params),
+                vec![true; 3],
+                "top = {:?}",
+                params.top
+            );
+        }
+        for triangle in [false, true] {
+            let params = MatrixParams { triangle, ..cut };
+            let plan = crate::matrix::plan_new_pairs::<LitsFamily>(&base, &models, &params);
+            assert_eq!(plan.survivors, vec![0, 1], "triangle = {triangle}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn rejects_duplicates_and_bad_names() {
         let dir = scratch("names");
         let mut reg = Registry::open_or_create(&dir).unwrap();
@@ -968,44 +992,6 @@ mod tests {
         assert!(reg.load_model("nope").is_err());
         assert!(reg.load_dataset("nope").is_err());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshot_source_counts_match_loaded_dataset() {
-        use focus_core::model::count_itemsets_par;
-        use focus_core::region::Itemset;
-        for format in [StorageFormat::Text, StorageFormat::Binary] {
-            let dir = scratch(&format!("source-{format:?}"));
-            let layout = RegistryLayout { shards: 0, format };
-            let mut reg = Registry::open_or_create_with(&dir, layout).unwrap();
-            let data = random_dataset(7, 250, 0.5);
-            reg.add("day-01", &data, 0.1).unwrap();
-
-            let source = reg.load_snapshot_source("day-01").unwrap();
-            // Binary registries decode straight to the index; text ones
-            // defer the build to the cost model.
-            assert_eq!(source.index_built(), format == StorageFormat::Binary);
-            assert_eq!(source.len(), data.len());
-
-            let itemsets: Vec<Itemset> = (0..8u32)
-                .map(|i| Itemset::from_slice(&[i, (i + 3) % 8]))
-                .chain(std::iter::once(Itemset::new(vec![])))
-                .collect();
-            let expect = count_itemsets_par(&data, &itemsets, Parallelism::Sequential);
-            assert_eq!(
-                source.counts(&itemsets, Parallelism::Sequential),
-                expect,
-                "{format:?}"
-            );
-
-            // Non-lits snapshots and unknown names are errors.
-            let (dt_data, dt_model) = dt_snapshot(40.0);
-            reg.add_snapshot::<DtFamily>("dt-day", &dt_data, &dt_model)
-                .unwrap();
-            assert!(reg.load_snapshot_source("dt-day").is_err());
-            assert!(reg.load_snapshot_source("nope").is_err());
-            std::fs::remove_dir_all(&dir).ok();
-        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Integration tests for the extension subsystems: BIRCH-driven cluster
-//! deviations, association rules under drift, hash-tree counting parity,
+//! deviations, association rules under drift, index counting parity,
 //! model persistence, drift injection, and the KS cross-check.
 
 use focus::cluster::{Birch, BirchParams, KMeans, KMeansParams};
@@ -7,7 +7,7 @@ use focus::core::prelude::*;
 use focus::data::assoc::{AssocGen, AssocGenParams};
 use focus::data::classify::{ClassifyFn, ClassifyGen};
 use focus::data::drift;
-use focus::mining::{generate_rules, rule_set_deviation, Apriori, AprioriParams, HashTree};
+use focus::mining::{generate_rules, rule_set_deviation, Apriori, AprioriParams};
 use focus::stats::ks::ks_two_sample;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,24 +96,22 @@ fn association_rules_drift_with_the_process() {
 }
 
 #[test]
-fn hash_tree_counts_match_bitmap_counter_end_to_end() {
+fn index_counts_match_bitmap_counter_end_to_end() {
     let gen = AssocGen::new(AssocGenParams::small(), 5);
     let data = gen.generate(1500, 7);
     let model = Apriori::new(AprioriParams::with_minsup(0.02).min_count_floor(3)).mine(&data);
-    let pairs: Vec<Vec<u32>> = model
+    let pairs: Vec<Itemset> = model
         .itemsets()
         .iter()
         .filter(|s| s.len() == 2)
-        .map(|s| s.items().to_vec())
+        .cloned()
         .collect();
     if pairs.is_empty() {
         panic!("workload produced no frequent pairs — weak test setup");
     }
-    let tree = HashTree::build(&pairs, 2);
-    let ht_counts = tree.count(data.iter());
-    let itemsets: Vec<Itemset> = pairs.iter().map(|p| Itemset::from_slice(p)).collect();
-    let bitmap_counts = count_itemsets(&data, &itemsets);
-    assert_eq!(ht_counts, bitmap_counts);
+    let index_counts = count_itemsets_grouped(&VerticalIndex::build(&data), &pairs);
+    let bitmap_counts = count_itemsets(&data, &pairs);
+    assert_eq!(index_counts, bitmap_counts);
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! `focus-exec` engine, enforced end-to-end.
 //!
 //! For random datasets and seeds, every parallelized pipeline — deviation
-//! measure scans for all three model classes, Apriori mining, hash-tree
-//! counting, vertical tid-bitset counting, shared counting-source
-//! handles with their lazily cached index, decision-tree induction,
+//! measure scans for all three model classes, Apriori mining, vertical
+//! tid-bitset counting (per-itemset word folds and grouped prefix runs),
+//! shared counting-source handles with their lazily cached index,
+//! decision-tree induction,
 //! k-means Lloyd iterations, monitor
 //! calibration, per-region `f`/`g` aggregation, and the bootstrap
 //! qualification fan-out — must produce **bit-identical** results for any
@@ -16,7 +17,7 @@
 use focus::cluster::{KMeans, KMeansParams};
 use focus::core::prelude::*;
 use focus::exec::Parallelism;
-use focus::mining::{Apriori, AprioriParams, HashTree};
+use focus::mining::{Apriori, AprioriParams};
 use focus::registry::{deviation_matrix_par, MatrixParams};
 use focus::stats::bootstrap_two_sample_par;
 use focus::tree::{DecisionTree, TreeParams};
@@ -362,12 +363,12 @@ proptest! {
         }
     }
 
-    /// Vertical tid-bitset counting: the word-chunked popcount fold is
-    /// thread-count-invariant, and every count is `u64`-identical to the
-    /// horizontal sequential scan (the counts are integers, so exact
-    /// equality is the bit-identity contract here). The auto-dispatch
-    /// seam must land on the same counts too, whichever side of its
-    /// gate this dataset falls on.
+    /// Vertical tid-bitset counting: the word-chunked popcount fold of
+    /// [`VerticalIndex::support_count`] is thread-count-invariant, and
+    /// every count is `u64`-identical to the horizontal sequential scan
+    /// (the counts are integers, so exact equality is the bit-identity
+    /// contract here). The cost-model seam must land on the same counts
+    /// too, whichever side of its gate this dataset falls on.
     #[test]
     fn vertical_counting_bit_identical(seed in 0u64..1_000_000,
                                        n in 50usize..400,
@@ -383,33 +384,33 @@ proptest! {
         let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
 
         let index = VerticalIndex::build(&data);
-        let seq = count_itemsets_vertical_par(&index, &sets, Parallelism::Sequential);
-        prop_assert_eq!(&seq, &horizontal, "vertical vs horizontal, sequential");
+        let fold = |par: Parallelism| -> Vec<u64> {
+            sets.iter().map(|s| index.support_count(s.items(), par)).collect()
+        };
+        prop_assert_eq!(&fold(Parallelism::Sequential), &horizontal,
+                        "vertical vs horizontal, sequential");
         for t in THREADS {
-            let par = count_itemsets_vertical_par(&index, &sets, Parallelism::Threads(t));
-            prop_assert_eq!(&par, &horizontal, "vertical counts, threads = {}", t);
+            let par = Parallelism::Threads(t);
+            prop_assert_eq!(&fold(par), &horizontal, "vertical counts, threads = {}", t);
             prop_assert_eq!(
-                &count_itemsets_auto_par(&data, &sets, Parallelism::Threads(t)),
+                &CountSource::borrowed(&data).counts(&sets, par),
                 &horizontal,
-                "auto-dispatched counts, threads = {}", t
+                "cost-model counts, threads = {}", t
             );
         }
     }
 
-    /// The dEclat tier: the diffset-adaptive index (complement rows for
-    /// dense items) and the batched prefix-run counter must both return
-    /// counts `u64`-identical to the sequential horizontal scan for every
-    /// thread count — the representation, the run decomposition, and the
-    /// run-level fan-out are all pure functions of the workload, never of
-    /// the schedule. The density range reaches 0.9 so adaptive indexes
-    /// really carry diffset rows, and the workload includes triples
-    /// sharing (k−1)-prefixes so the grouped path really forms multi-
-    /// member runs.
+    /// The batched prefix-run counter must return counts `u64`-identical
+    /// to the sequential horizontal scan for every thread count — the run
+    /// decomposition and the run-level fan-out are pure functions of the
+    /// workload, never of the schedule. The workload includes triples
+    /// sharing (k−1)-prefixes so the grouped path really forms
+    /// multi-member runs, and the density range reaches 0.9.
     #[test]
-    fn diffset_and_grouped_counting_bit_identical(seed in 0u64..1_000_000,
-                                                  n in 50usize..400,
-                                                  n_items in 4u32..14,
-                                                  density in 0.2f64..0.9) {
+    fn grouped_counting_bit_identical(seed in 0u64..1_000_000,
+                                      n in 50usize..400,
+                                      n_items in 4u32..14,
+                                      density in 0.2f64..0.9) {
         let data = random_transactions(n, n_items, density, seed);
         let sets: Vec<Itemset> = (0..n_items.saturating_sub(2))
             .map(|b| Itemset::from_slice(&[b, b + 1, b + 2]))
@@ -421,34 +422,24 @@ proptest! {
             .collect();
         let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
 
-        for index in [VerticalIndex::build(&data), VerticalIndex::build_adaptive(&data)] {
-            let seq = count_itemsets_vertical_par(&index, &sets, Parallelism::Sequential);
-            prop_assert_eq!(&seq, &horizontal, "per-itemset fold vs horizontal, sequential");
-            let grouped_seq = count_itemsets_grouped_par(&index, &sets, Parallelism::Sequential);
-            prop_assert_eq!(&grouped_seq, &horizontal, "grouped vs horizontal, sequential");
-            for t in THREADS {
-                prop_assert_eq!(
-                    &count_itemsets_vertical_par(&index, &sets, Parallelism::Threads(t)),
-                    &horizontal,
-                    "per-itemset fold, {} diffset rows, threads = {}",
-                    index.n_diffset_rows(), t
-                );
-                prop_assert_eq!(
-                    &count_itemsets_grouped_par(&index, &sets, Parallelism::Threads(t)),
-                    &horizontal,
-                    "grouped counts, {} diffset rows, threads = {}",
-                    index.n_diffset_rows(), t
-                );
-            }
+        let index = VerticalIndex::build(&data);
+        let grouped_seq = count_itemsets_grouped_par(&index, &sets, Parallelism::Sequential);
+        prop_assert_eq!(&grouped_seq, &horizontal, "grouped vs horizontal, sequential");
+        for t in THREADS {
+            prop_assert_eq!(
+                &count_itemsets_grouped_par(&index, &sets, Parallelism::Threads(t)),
+                &horizontal,
+                "grouped counts, threads = {}", t
+            );
         }
     }
 
     /// A shared [`CountSource`] handle: its cost-model dispatch and its
     /// lazily cached index must be invisible in the results. Every thread
-    /// count, through the auto handle, through a prebuilt-index handle,
-    /// and through worker closures sharing one handle (`Fn + Sync`, the
-    /// matrix engine's access pattern), returns counts `u64`-identical to
-    /// an uncached sequential horizontal scan.
+    /// count, through the handle directly and through worker closures
+    /// sharing it (`Fn + Sync`, the matrix engine's access pattern),
+    /// returns counts `u64`-identical to an uncached sequential horizontal
+    /// scan.
     #[test]
     fn shared_count_source_bit_identical(seed in 0u64..1_000_000,
                                          n in 50usize..400,
@@ -468,40 +459,20 @@ proptest! {
         let auto = CountSource::borrowed(&data).with_index_budget(DEFAULT_INDEX_BUDGET);
         prop_assert_eq!(&auto.counts(&sets, Parallelism::Sequential), &uncached,
                         "auto handle, sequential");
+        // At densities ≤ 0.5 this workload always amortises the build, so
+        // every later count reads the cached index.
+        prop_assert!(auto.index_built(), "the workload should build the index");
         for t in THREADS {
             prop_assert_eq!(&auto.counts(&sets, Parallelism::Threads(t)), &uncached,
                             "auto handle, threads = {}", t);
-        }
-
-        // The cached-index path, guaranteed: an index-backed handle has no
-        // horizontal view at all, so every count exercises the bitsets.
-        let indexed = CountSource::from_index(VerticalIndex::build(&data));
-        prop_assert!(indexed.index_built());
-        for t in THREADS {
-            prop_assert_eq!(&indexed.counts(&sets, Parallelism::Threads(t)), &uncached,
-                            "indexed handle, threads = {}", t);
             // One handle shared by the worker closures themselves — each
-            // counts a single itemset through the same cached index.
-            let shared = &indexed;
+            // counts the whole workload through the same cached index.
+            let shared = &auto;
             let per_set = focus::exec::map_indices(Parallelism::Threads(t), sets.len(), |i| {
-                shared.counts(&sets[i..i + 1], Parallelism::Sequential)[0]
+                shared.counts(&sets, Parallelism::Sequential)[i]
             });
             prop_assert_eq!(&per_set, &uncached,
                             "handle shared across worker closures, threads = {}", t);
-        }
-    }
-
-    /// Hash-tree support counting over transaction chunks is
-    /// thread-count-invariant and agrees with the sequential iterator walk.
-    #[test]
-    fn hashtree_counting_bit_identical(seed in 0u64..1_000_000, n in 50usize..250) {
-        let data = random_transactions(n, 12, 0.35, seed);
-        let candidates: Vec<Vec<u32>> = (0..11u32).map(|b| vec![b, b + 1]).collect();
-        let tree = HashTree::build(&candidates, 2);
-        let seq = tree.count(data.iter());
-        for t in THREADS {
-            prop_assert_eq!(&tree.count_set(&data, Parallelism::Threads(t)), &seq,
-                            "hash-tree counts, threads = {}", t);
         }
     }
 }
@@ -535,11 +506,11 @@ fn large_scan_splits_chunks_and_stays_identical() {
     let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
     let index = VerticalIndex::build(&data);
     for t in THREADS {
-        assert_eq!(
-            count_itemsets_vertical_par(&index, &sets, Parallelism::Threads(t)),
-            horizontal,
-            "vertical word chunks, threads = {t}"
-        );
+        let folded: Vec<u64> = sets
+            .iter()
+            .map(|s| index.support_count(s.items(), Parallelism::Threads(t)))
+            .collect();
+        assert_eq!(folded, horizontal, "vertical word chunks, threads = {t}");
     }
 
     // Labeled side too: 6000 rows > SCAN_GRAIN guarantees ≥ 2 chunks.

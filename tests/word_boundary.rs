@@ -1,16 +1,14 @@
-//! Word-boundary coverage for the vertical bitset tier.
+//! Word-boundary coverage for the vertical tid-bitset index.
 //!
-//! Every counting kernel in the vertical backend walks `u64` words with a
-//! ragged tail: `n_transactions % 64` live bits in the last word, the
-//! rest required to be zero — in tidset rows, in diffset (complement)
-//! rows, and in every intersection mask. An off-by-one at a word boundary
-//! (or a complement that sets tail bits) would silently inflate
+//! Every counting kernel on the index walks `u64` words with a ragged
+//! tail: `n_transactions % 64` live bits in the last word, the rest
+//! required to be zero — in every item row and in every intersection
+//! mask. An off-by-one at a word boundary would silently inflate
 //! popcounts, so this suite sweeps transaction counts *at* the
 //! boundaries — `{63, 64, 65, 127, 128, 129}` — and pins
 //! [`VerticalIndex::support_count`], [`VerticalIndex::count_with_mask`],
-//! [`VerticalIndex::intersect_into`], the per-itemset and grouped
-//! counters, and both row representations against a from-scratch naive
-//! scan, directed and property-tested.
+//! [`VerticalIndex::intersect_into`] and the grouped counter against a
+//! from-scratch naive scan, directed and property-tested.
 
 use focus::core::prelude::*;
 use focus::exec::Parallelism;
@@ -62,7 +60,7 @@ fn assert_tail_zero(words: &[u64], n_transactions: usize, what: &str) {
 fn check_index(data: &TransactionSet, index: &VerticalIndex, what: &str) {
     let n = data.len();
     let n_items = data.n_items();
-    // Row storage honours the tail in both representations.
+    // Row storage honours the tail.
     for it in 0..n_items {
         assert_tail_zero(index.item_bits(it), n, what);
         assert_eq!(
@@ -125,7 +123,7 @@ fn check_index(data: &TransactionSet, index: &VerticalIndex, what: &str) {
             }
         }
     }
-    // The batch counters agree wholesale.
+    // The grouped batch counter agrees wholesale.
     let itemsets: Vec<Itemset> = probes.iter().map(|p| Itemset::from_slice(p)).collect();
     let want: Vec<u64> = probes
         .iter()
@@ -140,11 +138,6 @@ fn check_index(data: &TransactionSet, index: &VerticalIndex, what: &str) {
         })
         .collect();
     assert_eq!(
-        count_itemsets_vertical(index, &itemsets),
-        want,
-        "{what}: per-itemset fold"
-    );
-    assert_eq!(
         count_itemsets_grouped(index, &itemsets),
         want,
         "{what}: grouped counts"
@@ -153,25 +146,12 @@ fn check_index(data: &TransactionSet, index: &VerticalIndex, what: &str) {
 
 #[test]
 fn directed_boundary_sweep() {
-    // Deterministic datasets at every boundary width, sparse and dense,
-    // so both all-tidset and genuinely mixed diffset indexes get hit.
+    // Deterministic datasets at every boundary width, sparse and dense.
     for (i, &n) in BOUNDARY_NS.iter().enumerate() {
         for density in [0.2f64, 0.7] {
             let data = random_transactions(n, 6, density, 1000 + i as u64);
-            let plain = VerticalIndex::build(&data);
-            check_index(&data, &plain, &format!("n={n} density={density} tidset"));
-            let adaptive = VerticalIndex::build_adaptive(&data);
-            check_index(
-                &data,
-                &adaptive,
-                &format!("n={n} density={density} adaptive"),
-            );
-            if density > 0.5 {
-                assert!(
-                    adaptive.n_diffset_rows() > 0,
-                    "n={n}: dense data must produce diffset rows"
-                );
-            }
+            let index = VerticalIndex::build(&data);
+            check_index(&data, &index, &format!("n={n} density={density}"));
         }
     }
 }
@@ -179,8 +159,8 @@ fn directed_boundary_sweep() {
 #[test]
 fn all_and_none_items_at_every_boundary() {
     // Item 0 in every transaction, item 1 in none, item 2 alternating:
-    // the extreme rows where a tail-bit error is most visible (the
-    // complement of an all-ones row is exactly the tail).
+    // the extreme rows where a tail-bit error is most visible (an
+    // all-ones row is live up to exactly the tail).
     for &n in &BOUNDARY_NS {
         let mut data = TransactionSet::new(3);
         for t in 0..n {
@@ -190,24 +170,23 @@ fn all_and_none_items_at_every_boundary() {
             }
             data.push(txn);
         }
-        let adaptive = VerticalIndex::build_adaptive(&data);
-        assert_eq!(adaptive.row_repr(0), RowRepr::Diffset, "n={n}");
+        let index = VerticalIndex::build(&data);
         assert!(
-            adaptive.item_bits(0).iter().all(|&w| w == 0),
-            "n={n}: complement of the universe row must be empty, tail included"
+            index.item_bits(1).iter().all(|&w| w == 0),
+            "n={n}: the never-present item's row must be empty, tail included"
         );
-        check_index(&data, &adaptive, &format!("n={n} extremes"));
-        assert_eq!(adaptive.item_support(0), n as u64);
-        assert_eq!(adaptive.item_support(1), 0);
-        assert_eq!(adaptive.item_support(2), n.div_ceil(2) as u64);
+        check_index(&data, &index, &format!("n={n} extremes"));
+        assert_eq!(index.item_support(0), n as u64);
+        assert_eq!(index.item_support(1), 0);
+        assert_eq!(index.item_support(2), n.div_ceil(2) as u64);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random data at the word boundaries: every entry point, both row
-    /// representations, naive-scan agreement, trailing bits zero.
+    /// Random data at the word boundaries: every entry point,
+    /// naive-scan agreement, trailing bits zero.
     #[test]
     fn boundary_counting_matches_naive(which in 0usize..6,
                                        n_items in 3u32..8,
@@ -215,7 +194,6 @@ proptest! {
                                        seed in 0u64..1_000_000) {
         let n = BOUNDARY_NS[which];
         let data = random_transactions(n, n_items, density, seed);
-        check_index(&data, &VerticalIndex::build(&data), "proptest tidset");
-        check_index(&data, &VerticalIndex::build_adaptive(&data), "proptest adaptive");
+        check_index(&data, &VerticalIndex::build(&data), "proptest");
     }
 }
