@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use focus_cluster::{Birch, BirchParams, KMeans, KMeansParams};
 use focus_core::data::{Schema, Table, Value};
-use focus_core::deviation::cluster_deviation;
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::ClusterFamily;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -55,9 +56,11 @@ fn bench_clustering(c: &mut Criterion) {
     let m2 = KMeans::new(KMeansParams::new(4).seed(6))
         .fit(&d2)
         .to_model(&d2);
-    group.bench_function("cluster_deviation_4x4", |b| {
+    group.bench_function("deviate_cluster_4x4", |b| {
         b.iter(|| {
-            black_box(cluster_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value)
+            black_box(
+                deviate::<ClusterFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value,
+            )
         })
     });
     group.finish();

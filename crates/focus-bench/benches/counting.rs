@@ -8,6 +8,7 @@ use focus_core::model::count_itemsets;
 use focus_core::region::Itemset;
 use focus_core::vertical::{count_itemsets_grouped, VerticalIndex};
 use focus_data::assoc::{AssocGen, AssocGenParams};
+use focus_exec::Parallelism;
 use focus_mining::{Apriori, AprioriParams};
 use std::hint::black_box;
 
@@ -26,13 +27,13 @@ fn bench_counting(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("bitmap_scan", itemsets.len()),
         &itemsets,
-        |b, sets| b.iter(|| black_box(count_itemsets(&data, sets))),
+        |b, sets| b.iter(|| black_box(count_itemsets(&data, sets, Parallelism::Global))),
     );
     let index = VerticalIndex::build(&data);
     group.bench_with_input(
         BenchmarkId::new("index_warm", itemsets.len()),
         &itemsets,
-        |b, sets| b.iter(|| black_box(count_itemsets_grouped(&index, sets))),
+        |b, sets| b.iter(|| black_box(count_itemsets_grouped(&index, sets, Parallelism::Global))),
     );
     group.finish();
 }

@@ -4,14 +4,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use focus_core::bound::lits_upper_bound;
-use focus_core::deviation::lits_deviation;
+use focus_core::deviation::deviate;
 use focus_core::diff::{AggFn, DiffFn};
+use focus_core::family::LitsFamily;
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_mining::{Apriori, AprioriParams};
 use std::hint::black_box;
 
 fn bench_delta_vs_bound(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lits_deviation");
+    let mut group = c.benchmark_group("deviate::<LitsFamily>");
     for &n in &[2_000usize, 10_000] {
         let g1 = AssocGen::new(AssocGenParams::paper(1000, 4.0), 1);
         let g2 = AssocGen::new(AssocGenParams::paper(1200, 4.0), 2);
@@ -23,7 +24,9 @@ fn bench_delta_vs_bound(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("delta_exact", n), &n, |b, _| {
             b.iter(|| {
-                black_box(lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value)
+                black_box(
+                    deviate::<LitsFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value,
+                )
             })
         });
         group.bench_with_input(BenchmarkId::new("delta_star_bound", n), &n, |b, _| {

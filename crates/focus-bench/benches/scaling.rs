@@ -8,12 +8,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use focus_cluster::{KMeans, KMeansParams};
-use focus_core::deviation::lits_deviation_par;
+use focus_core::deviation::deviate_over;
 use focus_core::diff::{AggFn, DiffFn};
-use focus_core::model::{count_boxes_par, count_itemsets_par, count_partition_par};
-use focus_core::qualify::qualify_transactions_par;
+use focus_core::family::{LitsFamily, ModelFamily};
+use focus_core::model::{count_boxes, count_itemsets, count_partition};
+use focus_core::qualify::qualify;
 use focus_core::region::BoxBuilder;
-use focus_core::stream::calibrate_threshold_par;
+use focus_core::source::CountSource;
+use focus_core::stream::calibrate_threshold;
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::classify::{ClassifyFn, ClassifyGen};
 use focus_exec::Parallelism;
@@ -43,13 +45,13 @@ fn bench_scaling(c: &mut Criterion) {
     for t in THREADS {
         let par = Parallelism::Threads(t);
         group.bench_with_input(BenchmarkId::new("count_itemsets", t), &par, |b, &par| {
-            b.iter(|| black_box(count_itemsets_par(&txns, &itemsets, par)))
+            b.iter(|| black_box(count_itemsets(&txns, &itemsets, par)))
         });
         group.bench_with_input(BenchmarkId::new("count_partition", t), &par, |b, &par| {
-            b.iter(|| black_box(count_partition_par(&labeled, &leaves, 2, par)))
+            b.iter(|| black_box(count_partition(&labeled, &leaves, 2, par)))
         });
         group.bench_with_input(BenchmarkId::new("count_boxes", t), &par, |b, &par| {
-            b.iter(|| black_box(count_boxes_par(&labeled.table, &boxes, par)))
+            b.iter(|| black_box(count_boxes(&labeled.table, &boxes, par)))
         });
     }
     group.finish();
@@ -67,27 +69,16 @@ fn bench_scaling(c: &mut Criterion) {
     let pipeline = |a: &focus_core::data::TransactionSet, b: &focus_core::data::TransactionSet| {
         let ma = miner.mine(a);
         let mb = miner.mine(b);
-        lits_deviation_par(
-            &ma,
-            a,
-            &mb,
-            b,
-            DiffFn::Absolute,
-            AggFn::Sum,
-            Parallelism::Sequential,
-        )
-        .value
+        let (sa, sb) = (CountSource::borrowed(a), CountSource::borrowed(b));
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Sequential);
+        deviate_over::<LitsFamily>(LitsFamily::gcr(&ma, &mb), &ma, &sa, &mb, &sb, f, g, par).value
     };
     let observed = pipeline(&d1, &d2);
     let mut group = c.benchmark_group("scaling_bootstrap");
     for t in THREADS {
         let par = Parallelism::Threads(t);
         group.bench_with_input(BenchmarkId::new("qualify", t), &par, |b, &par| {
-            b.iter(|| {
-                black_box(qualify_transactions_par(
-                    &d1, &d2, observed, 8, 42, par, pipeline,
-                ))
-            })
+            b.iter(|| black_box(qualify(&d1, &d2, observed, 8, 42, par, pipeline)))
         });
     }
     group.finish();
@@ -96,20 +87,22 @@ fn bench_scaling(c: &mut Criterion) {
     // sibling-subtree forks) and k-means Lloyd iterations (parallel
     // assignment + fixed-order centroid folds).
     let mut group = c.benchmark_group("scaling_induction");
-    let km = KMeans::new(KMeansParams::new(8).seed(3).max_iters(25));
+    let kp = KMeansParams::new(8).seed(3).max_iters(25);
     for t in THREADS {
         let par = Parallelism::Threads(t);
         group.bench_with_input(BenchmarkId::new("dt_fit", t), &par, |b, &par| {
             b.iter(|| {
-                black_box(DecisionTree::fit_par(
+                black_box(DecisionTree::fit(
                     &labeled,
-                    TreeParams::default().max_depth(8).min_leaf(20),
-                    par,
+                    TreeParams::default()
+                        .max_depth(8)
+                        .min_leaf(20)
+                        .parallelism(par),
                 ))
             })
         });
         group.bench_with_input(BenchmarkId::new("kmeans_fit", t), &par, |b, &par| {
-            b.iter(|| black_box(km.fit_par(&labeled.table, par)))
+            b.iter(|| black_box(KMeans::new(kp.parallelism(par)).fit(&labeled.table)))
         });
     }
     group.finish();
@@ -121,23 +114,16 @@ fn bench_scaling(c: &mut Criterion) {
                         b: &focus_core::data::TransactionSet| {
         let ma = miner.mine(a);
         let mb = miner.mine(b);
-        lits_deviation_par(
-            &ma,
-            a,
-            &mb,
-            b,
-            DiffFn::Absolute,
-            AggFn::Sum,
-            Parallelism::Sequential,
-        )
-        .value
+        let (sa, sb) = (CountSource::borrowed(a), CountSource::borrowed(b));
+        let (f, g, par) = (DiffFn::Absolute, AggFn::Sum, Parallelism::Sequential);
+        deviate_over::<LitsFamily>(LitsFamily::gcr(&ma, &mb), &ma, &sa, &mb, &sb, f, g, par).value
     };
     let mut group = c.benchmark_group("scaling_calibration");
     for t in THREADS {
         let par = Parallelism::Threads(t);
         group.bench_with_input(BenchmarkId::new("calibrate", t), &par, |b, &par| {
             b.iter(|| {
-                black_box(calibrate_threshold_par(
+                black_box(calibrate_threshold(
                     &reference,
                     500,
                     0.95,

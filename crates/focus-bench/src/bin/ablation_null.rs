@@ -13,6 +13,8 @@
 
 use focus_bench::runner::fit_dt;
 use focus_bench::{fmt, print_table, ExpConfig};
+use focus_core::family::DtFamily;
+use focus_exec::Parallelism;
 
 fn main() {
     let cfg = ExpConfig::parse(std::env::args().skip(1));
@@ -20,7 +22,7 @@ fn main() {
 }
 
 fn run(cfg: ExpConfig) {
-    use focus_core::deviation::dt_deviation;
+    use focus_core::deviation::deviate;
     use focus_core::diff::{AggFn, DiffFn};
     use focus_data::classify::{ClassifyFn, ClassifyGen};
 
@@ -39,16 +41,24 @@ fn run(cfg: ExpConfig) {
         // Observed block signal.
         let m_d = fit_dt(&d);
         let m_plus = fit_dt(&d_plus);
-        let signal = dt_deviation(&m_d, &d, &m_plus, &d_plus, DiffFn::Absolute, AggFn::Sum).value;
+        let signal =
+            deviate::<DtFamily>(&m_d, &d, &m_plus, &d_plus, DiffFn::Absolute, AggFn::Sum).value;
 
         // Null: deviations between two same-process resamples of the pool.
         let reps = cfg.reps.max(9);
-        let q =
-            focus_core::qualify::qualify_tables(&d, &d_plus, signal, reps, cfg.seed ^ 2, |a, b| {
+        let q = focus_core::qualify::qualify(
+            &d,
+            &d_plus,
+            signal,
+            reps,
+            cfg.seed ^ 2,
+            Parallelism::Global,
+            |a, b| {
                 let ma = fit_dt(a);
                 let mb = fit_dt(b);
-                dt_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
-            });
+                deviate::<DtFamily>(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+            },
+        );
         let q50 = focus_stats::describe::percentile(&q.null_distribution, 50.0);
         let q99 = focus_stats::describe::percentile(&q.null_distribution, 99.0);
         rows.push(vec![

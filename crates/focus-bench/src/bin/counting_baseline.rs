@@ -11,7 +11,7 @@
 //! a model's itemsets against another dataset), and times the two arms of
 //! the counting engine, each row varying one layer:
 //!
-//! * `bitmap_scan` — the horizontal `count_itemsets_par` scan (one
+//! * `bitmap_scan` — the horizontal `count_itemsets` scan (one
 //!   membership bitmap per transaction, subset test per itemset);
 //! * `index_cold`  — the tid-bitset index of `focus_core::vertical`,
 //!   **index build included**, counted through the batched prefix-run
@@ -48,9 +48,9 @@
 
 use focus_bench::{git_commit, timed, ExpConfig};
 use focus_core::data::TransactionSet;
-use focus_core::model::count_itemsets_par;
+use focus_core::model::count_itemsets;
 use focus_core::source::{CountSource, DEFAULT_INDEX_BUDGET};
-use focus_core::vertical::{count_itemsets_grouped_par, VerticalIndex};
+use focus_core::vertical::{count_itemsets_grouped, VerticalIndex};
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_exec::Parallelism;
 use focus_mining::{Apriori, AprioriParams};
@@ -137,20 +137,20 @@ fn main() {
         // dataset.
         let model = Apriori::new(mine_params).mine(&data);
         let itemsets = model.itemsets().to_vec();
-        let reference = count_itemsets_par(&data, &itemsets, par);
+        let reference = count_itemsets(&data, &itemsets, par);
 
         let bitmap_secs = best_of(cfg.samples, &reference, || {
-            count_itemsets_par(&data, &itemsets, par)
+            count_itemsets(&data, &itemsets, par)
         });
         // Cold: index build + batched prefix-run counting.
         let cold_secs = best_of(cfg.samples, &reference, || {
             let index = VerticalIndex::build(&data);
-            count_itemsets_grouped_par(&index, &itemsets, par)
+            count_itemsets_grouped(&index, &itemsets, par)
         });
         // Warm: batched counting over a prebuilt index, build excluded.
         let warm_index = VerticalIndex::build(&data);
         let warm_secs = best_of(cfg.samples, &reference, || {
-            count_itemsets_grouped_par(&warm_index, &itemsets, par)
+            count_itemsets_grouped(&warm_index, &itemsets, par)
         });
 
         // Reuse regime: the same itemsets re-counted REUSE_SCANS times,
@@ -160,7 +160,7 @@ fn main() {
             let mut counts = Vec::new();
             for _ in 0..REUSE_SCANS {
                 let index = VerticalIndex::build(&data);
-                counts = count_itemsets_grouped_par(&index, &itemsets, par);
+                counts = count_itemsets_grouped(&index, &itemsets, par);
             }
             counts
         });

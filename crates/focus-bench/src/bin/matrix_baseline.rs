@@ -22,10 +22,10 @@
 //! counts.
 
 use focus_bench::collections::{cluster_collection, dt_collection, lits_collection, median_bound};
-use focus_bench::{timed, ExpConfig};
+use focus_bench::{git_commit, timed, ExpConfig};
 use focus_core::family::ModelFamily;
 use focus_exec::Parallelism;
-use focus_registry::{deviation_matrix_par, DeviationMatrix, MatrixParams};
+use focus_registry::{deviation_matrix, DeviationMatrix, MatrixParams};
 
 struct Row {
     family: &'static str,
@@ -48,7 +48,7 @@ fn run_family<F: ModelFamily>(
     F::Model: Sync,
     F::Dataset: Sync,
 {
-    let probe = deviation_matrix_par::<F>(
+    let probe = deviation_matrix::<F>(
         models,
         datasets,
         names.to_vec(),
@@ -70,7 +70,7 @@ fn run_family<F: ModelFamily>(
         let mut best: Option<(DeviationMatrix, f64)> = None;
         for _ in 0..samples {
             let (m, secs) = timed(|| {
-                deviation_matrix_par::<F>(models, datasets, names.to_vec(), &params)
+                deviation_matrix::<F>(models, datasets, names.to_vec(), &params)
                     .expect("valid params")
             });
             if best.as_ref().is_none_or(|(_, b)| secs < *b) {
@@ -124,6 +124,9 @@ fn main() {
 
     // JSON lines to stdout (the `BENCH_matrix.json` payload), the human
     // table to stderr so a redirect stays machine-readable.
+    let threads = Parallelism::Global.threads();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = git_commit();
     eprintln!(
         "{:>8}  {:>9}  {:>9}  {:>5}  {:>7}  {:>6}  {:>6}  {:>8}",
         "Family", "Regime", "Threshold", "Pairs", "Scanned", "Pruned", "Prune%", "Best s"
@@ -132,8 +135,19 @@ fn main() {
         let frac = r.pruned as f64 / r.n_pairs as f64;
         println!(
             "{{\"bench\":\"matrix\",\"family\":\"{}\",\"regime\":\"{}\",\"threshold\":{},\
-             \"pairs\":{},\"scanned\":{},\"pruned\":{},\"prune_fraction\":{:.4},\"secs\":{:.6}}}",
-            r.family, r.regime, r.threshold, r.n_pairs, r.scanned, r.pruned, frac, r.secs
+             \"pairs\":{},\"scanned\":{},\"pruned\":{},\"prune_fraction\":{:.4},\"secs\":{:.6},\
+             \"threads\":{},\"cores\":{},\"commit\":\"{}\"}}",
+            r.family,
+            r.regime,
+            r.threshold,
+            r.n_pairs,
+            r.scanned,
+            r.pruned,
+            frac,
+            r.secs,
+            threads,
+            cores,
+            commit
         );
         eprintln!(
             "{:>8}  {:>9}  {:>9.4}  {:>5}  {:>7}  {:>6}  {:>6.2}  {:>8.4}",

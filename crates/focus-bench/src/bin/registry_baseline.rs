@@ -21,13 +21,14 @@
 //! loads at least 5× faster than text at the largest scale — can be
 //! read straight off the largest-scale rows.
 
-use focus_bench::{timed, ExpConfig};
+use focus_bench::{git_commit, timed, ExpConfig};
 use focus_core::data::TransactionSet;
 use focus_core::family::LitsFamily;
 use focus_core::model::LitsModel;
 use focus_core::persist::{read_lits_model, write_lits_model};
 use focus_data::assoc::{AssocGen, AssocGenParams};
 use focus_data::io::{read_transactions, write_transactions};
+use focus_exec::Parallelism;
 use focus_mining::{Apriori, AprioriParams};
 use focus_registry::binfmt::{
     decode_lits_model, decode_transactions, encode_lits_model, encode_transactions,
@@ -209,6 +210,9 @@ fn main() {
 
     // JSON lines to stdout (the `BENCH_registry.json` payload), the
     // human table to stderr so a redirect stays machine-readable.
+    let threads = Parallelism::Global.threads();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = git_commit();
     eprintln!("mmap active: {}", mmap_active());
     eprintln!(
         "{:>8}  {:>12}  {:>8}  {:>9}  {:>10}  {:>8}",
@@ -217,14 +221,18 @@ fn main() {
     for r in &rows {
         println!(
             "{{\"bench\":\"registry\",\"regime\":\"{}\",\"format\":\"{}\",\"txns\":{},\
-             \"bytes\":{},\"mmap_active\":{},\"secs\":{:.6},\"speedup\":{:.2}}}",
+             \"bytes\":{},\"mmap_active\":{},\"secs\":{:.6},\"speedup\":{:.2},\
+             \"threads\":{},\"cores\":{},\"commit\":\"{}\"}}",
             r.regime,
             r.format,
             r.txns,
             r.bytes,
             mmap_active(),
             r.secs,
-            r.speedup
+            r.speedup,
+            threads,
+            cores,
+            commit
         );
         eprintln!(
             "{:>8}  {:>12}  {:>8}  {:>9}  {:>10.6}  {:>8.2}",

@@ -48,7 +48,7 @@
 
 use focus_cluster::{KMeans, KMeansParams};
 use focus_core::bound::lits_upper_bound;
-use focus_core::deviation::{dt_deviation, lits_deviation};
+use focus_core::deviation;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::family::{ClusterFamily, DtFamily, LitsFamily};
 use focus_core::persist::{read_lits_model, write_lits_model};
@@ -320,7 +320,7 @@ fn deviate(flags: &Flags) -> Result<(), String> {
     let m = miner(minsup);
     let m1 = m.mine(&d1);
     let m2 = m.mine(&d2);
-    let dev = lits_deviation(&m1, &d1, &m2, &d2, diff_fn(flags)?, agg_fn(flags)?);
+    let dev = deviation::deviate::<LitsFamily>(&m1, &d1, &m2, &d2, diff_fn(flags)?, agg_fn(flags)?);
     println!("{:.6}", dev.value);
     eprintln!(
         "GCR: {} regions; models: {} and {} itemsets",
@@ -348,7 +348,7 @@ fn qualify(flags: &Flags) -> Result<(), String> {
     let pipeline = |a: &focus_core::data::TransactionSet, b: &focus_core::data::TransactionSet| {
         let ma = m.mine(a);
         let mb = m.mine(b);
-        lits_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+        deviation::deviate::<LitsFamily>(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
     };
     let observed = pipeline(&d1, &d2);
     let q = qualify_transactions(&d1, &d2, observed, reps, seed, pipeline);
@@ -386,11 +386,11 @@ fn deviate_dt(flags: &Flags) -> Result<(), String> {
     let d2 = read_labeled_table(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
     let m1 = DecisionTree::fit(&d1, tree_params(flags, d1.len())?).to_model();
     let m2 = DecisionTree::fit(&d2, tree_params(flags, d2.len())?).to_model();
-    let dev = dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
+    let dev = deviation::deviate::<DtFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
     println!("{:.6}", dev.value);
     eprintln!(
         "GCR: {} cells from {} × {} leaves",
-        dev.cells.len(),
+        dev.gcr.cells.len(),
         m1.leaves().len(),
         m2.leaves().len()
     );
@@ -549,23 +549,20 @@ fn matrix(flags: &Flags) -> Result<(), String> {
     let names = m.names();
     for i in 0..m.len() {
         for j in (i + 1)..m.len() {
-            match (m.has_bounds(), m.exact(i, j)) {
-                (true, Some(e)) => println!(
+            match m.exact(i, j) {
+                Some(e) => println!(
                     "{} {} bound {:.6} exact {:.6}",
                     names[i],
                     names[j],
                     m.bound(i, j),
                     e
                 ),
-                (true, None) => println!(
+                None => println!(
                     "{} {} bound {:.6} pruned",
                     names[i],
                     names[j],
                     m.bound(i, j)
                 ),
-                // Non-dominated screening (e.g. --f fs) scans every pair.
-                (false, Some(e)) => println!("{} {} exact {:.6}", names[i], names[j], e),
-                (false, None) => unreachable!("unscreened matrices are complete"),
             }
         }
     }
@@ -583,7 +580,7 @@ fn embed(flags: &Flags) -> Result<(), String> {
     // pairs with threshold 0.
     fn matrix_for_embed<F: SnapshotFamily>(reg: &Registry) -> std::io::Result<DeviationMatrix> {
         let params = MatrixParams {
-            threshold: if F::HAS_BOUND && F::BOUND_IS_METRIC {
+            threshold: if F::BOUND_IS_METRIC {
                 f64::INFINITY
             } else {
                 0.0

@@ -351,3 +351,29 @@ fn unknown_command_fails_nonzero() {
         .expect("failed to spawn focus-cli");
     assert!(!out.status.success());
 }
+
+#[test]
+fn bound_rejects_out_of_range_model_files_without_panicking() {
+    // Regression: `minsup 2` panicked inside `LitsModel::new` (exit 101
+    // with a backtrace) and a `nan` support printed `NaN` with exit 0.
+    let dir = scratch("bad-model");
+    let good = dir.join("good.model");
+    std::fs::write(&good, "#lits-model minsup 0.2 n 5\n0 | 0.6\n").unwrap();
+    for (tag, text) in [
+        ("minsup", "#lits-model minsup 2 n 5\n0 | 0.5\n"),
+        ("nan", "#lits-model minsup 0.2 n 5\n0 | nan\n"),
+    ] {
+        let bad = dir.join(format!("{tag}.model"));
+        std::fs::write(&bad, text).unwrap();
+        let out = Command::new(bin())
+            .args(["bound", "--m1", path_str(&good), "--m2", path_str(&bad)])
+            .output()
+            .expect("failed to spawn focus-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{tag}: printed a bound");
+        assert!(stderr.starts_with("error: "), "{tag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -21,16 +21,21 @@ pub struct KMeansParams {
     pub max_iters: usize,
     /// RNG seed (k-means++ seeding is randomized).
     pub seed: u64,
+    /// Worker threads for the Lloyd iterations (process-wide default
+    /// unless set). The fit is identical for every setting.
+    pub parallelism: Parallelism,
 }
 
 impl KMeansParams {
-    /// Parameters with `k` clusters, 100 iterations, seed 0.
+    /// Parameters with `k` clusters, 100 iterations, seed 0, at the
+    /// process-wide default parallelism.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "k must be at least 1");
         Self {
             k,
             max_iters: 100,
             seed: 0,
+            parallelism: Parallelism::Global,
         }
     }
 
@@ -45,6 +50,12 @@ impl KMeansParams {
     /// no Lloyd update applied.
     pub fn max_iters(mut self, n: usize) -> Self {
         self.max_iters = n;
+        self
+    }
+
+    /// Sets the worker threads for fitting.
+    pub fn parallelism(mut self, par: Parallelism) -> Self {
+        self.parallelism = par;
         self
     }
 }
@@ -76,13 +87,8 @@ impl KMeans {
         Self { params }
     }
 
-    /// Fits k-means to the numeric attributes of `data` at the
-    /// process-wide default parallelism (see [`KMeans::fit_par`]).
-    pub fn fit(&self, data: &Table) -> KMeansResult {
-        self.fit_par(data, Parallelism::Global)
-    }
-
-    /// Fits k-means with the Lloyd iterations run on `par` worker threads.
+    /// Fits k-means to the numeric attributes of `data`, with the Lloyd
+    /// iterations run on `params.parallelism` worker threads.
     ///
     /// Each iteration parallelizes two scans, both **bit-identical** for
     /// every thread count: the assignment step maps points to their nearest
@@ -96,7 +102,8 @@ impl KMeans {
     /// An empty table yields a well-defined empty model (no centroids, no
     /// assignments, zero inertia) rather than panicking, and
     /// `max_iters == 0` returns the seeding with nearest-seed assignments.
-    pub fn fit_par(&self, data: &Table, par: Parallelism) -> KMeansResult {
+    pub fn fit(&self, data: &Table) -> KMeansResult {
+        let par = self.params.parallelism;
         let numeric_attrs: Vec<usize> = (0..data.schema().len())
             .filter(|&i| matches!(data.schema().attr(i).ty, AttrType::Numeric))
             .collect();

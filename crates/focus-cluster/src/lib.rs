@@ -10,7 +10,7 @@
 //! axis-aligned bounding-box region (a [`focus_core::region::BoxRegion`])
 //! together with its selectivity — a
 //! [`focus_core::model::ClusterModel`] ready for
-//! [`focus_core::deviation::cluster_deviation`].
+//! [`focus_core::deviation::deviate`] with `ClusterFamily`.
 //!
 //! ```
 //! use focus_core::data::{Schema, Table, Value};

@@ -233,7 +233,7 @@ mod tests {
             let items: Vec<u32> = (0..n_items).filter(|i| mask & (1 << i) != 0).collect();
             frequent.push(Itemset::new(items));
         }
-        let counts = crate::model::count_itemsets(data, &frequent);
+        let counts = crate::model::count_itemsets(data, &frequent, focus_exec::Parallelism::Global);
         let n = data.len() as f64;
         let keep: Vec<(Itemset, f64)> = frequent
             .into_iter()
@@ -255,8 +255,15 @@ mod tests {
             let m2 = brute_force_model(&d2, 0.2);
             for g in [AggFn::Sum, AggFn::Max] {
                 let bound = lits_upper_bound(&m1, &m2, g);
-                let exact =
-                    crate::deviation::lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+                let exact = crate::deviation::deviate::<crate::family::LitsFamily>(
+                    &m1,
+                    &d1,
+                    &m2,
+                    &d2,
+                    DiffFn::Absolute,
+                    g,
+                )
+                .value;
                 assert!(
                     bound >= exact - 1e-12,
                     "seed {seed} {g:?}: bound {bound} < exact {exact}"
@@ -276,8 +283,15 @@ mod tests {
         let m2 = induce_lits_measures(m1.itemsets().to_vec(), m1.minsup(), &d2);
         for g in [AggFn::Sum, AggFn::Max] {
             let bound = lits_upper_bound(&m1, &m2, g);
-            let exact =
-                crate::deviation::lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+            let exact = crate::deviation::deviate::<crate::family::LitsFamily>(
+                &m1,
+                &d1,
+                &m2,
+                &d2,
+                DiffFn::Absolute,
+                g,
+            )
+            .value;
             assert!((bound - exact).abs() < 1e-12, "{g:?}: {bound} vs {exact}");
         }
     }
@@ -377,8 +391,15 @@ mod tests {
             let m2 = induce_dt_measures(split_partition(&s, "y", 65.0 - seed as f64 * 10.0), &d2);
             for g in [AggFn::Sum, AggFn::Max] {
                 let bound = dt_upper_bound(&m1, &m2, g);
-                let exact =
-                    crate::deviation::dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+                let exact = crate::deviation::deviate::<crate::family::DtFamily>(
+                    &m1,
+                    &d1,
+                    &m2,
+                    &d2,
+                    DiffFn::Absolute,
+                    g,
+                )
+                .value;
                 assert!(
                     bound >= exact - 1e-12,
                     "seed {seed} {g:?}: bound {bound} < exact {exact}"
@@ -399,8 +420,15 @@ mod tests {
         let m2 = induce_dt_measures(leaves, &d2);
         for g in [AggFn::Sum, AggFn::Max] {
             let bound = dt_upper_bound(&m1, &m2, g);
-            let exact =
-                crate::deviation::dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+            let exact = crate::deviation::deviate::<crate::family::DtFamily>(
+                &m1,
+                &d1,
+                &m2,
+                &d2,
+                DiffFn::Absolute,
+                g,
+            )
+            .value;
             assert!((bound - exact).abs() < 1e-12, "{g:?}: {bound} vs {exact}");
         }
     }
@@ -550,9 +578,15 @@ mod tests {
             );
             for g in [AggFn::Sum, AggFn::Max] {
                 let bound = cluster_upper_bound(&m1, &m2, g);
-                let exact =
-                    crate::deviation::cluster_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g)
-                        .value;
+                let exact = crate::deviation::deviate::<crate::family::ClusterFamily>(
+                    &m1,
+                    &d1,
+                    &m2,
+                    &d2,
+                    DiffFn::Absolute,
+                    g,
+                )
+                .value;
                 assert!(
                     bound >= exact - 1e-12,
                     "seed {seed} {g:?}: bound {bound} < exact {exact}"

@@ -18,9 +18,9 @@
 //!    ([`ModelFamily::BOUND_IS_METRIC`]), which unlocks δ*-space embedding
 //!    and triangle-inequality pruning downstream.
 //!
-//! The trait captures exactly those four, so the generic engine in
-//! [`crate::deviation`] (`deviate`, `deviate_par`, `deviate_focussed`,
-//! `deviate_over`) and the batch matrix engine in `focus-registry` are
+//! The trait captures exactly those four, so the deviation engine in
+//! [`crate::deviation`] (`deviate_over`, behind `deviate` and
+//! `deviate_focussed`) and the batch matrix engine in `focus-registry` are
 //! written once and instantiated per family. All implementations preserve
 //! the workspace determinism contract: measures and per-region values are
 //! bit-identical for every worker-thread count.
@@ -28,7 +28,7 @@
 use crate::data::{LabeledTable, Table, TransactionSet};
 use crate::diff::{AggFn, DiffFn};
 use crate::gcr::{gcr_boxes, gcr_lits, gcr_partition, OverlayCell};
-use crate::model::{count_boxes_par, ClusterModel, DtModel, LitsModel};
+use crate::model::{count_boxes, ClusterModel, DtModel, LitsModel};
 use crate::region::{BoxRegion, Itemset};
 use crate::source::CountSource;
 use focus_exec::{map_chunks, merge_counts, Parallelism};
@@ -48,8 +48,8 @@ pub enum Side {
 }
 
 /// A model class that plugs into the FOCUS framework: the 2-component and
-/// meet-semilattice properties of Section 3, plus the optional scan-free
-/// upper bound of Section 4.1.1.
+/// meet-semilattice properties of Section 3, plus the scan-free upper
+/// bound of Section 4.1.1.
 pub trait ModelFamily {
     /// The model type `⟨Γ, Σ⟩` (`Sync` so batch engines can share models
     /// across worker threads).
@@ -77,16 +77,12 @@ pub trait ModelFamily {
     /// Human-readable family name (`lits`, `dt`, `cluster`).
     const NAME: &'static str;
 
-    /// True when the family defines a model-only upper bound
-    /// ([`ModelFamily::upper_bound`] returns `Some` for every pair).
-    const HAS_BOUND: bool = false;
-
     /// True when the family's δ* is a *pseudo-metric* on models —
     /// symmetric, `δ*(M, M) = 0`, triangle inequality (Theorem 4.2 (2)) —
     /// so a collection's bound grid is a valid distance matrix for MDS
     /// embedding and supports triangle-inequality pruning. `false` for
-    /// families without a bound, and for cluster-models, whose bound
-    /// violates `δ*(M, M) = 0` when clusters overlap.
+    /// cluster-models, whose bound violates `δ*(M, M) = 0` when clusters
+    /// overlap.
     const BOUND_IS_METRIC: bool = false;
 
     /// The GCR of the two structural components (Definition 3.4).
@@ -140,22 +136,15 @@ pub trait ModelFamily {
     /// Number of rows/transactions in a dataset.
     fn data_len(data: &Self::Dataset) -> u64;
 
-    /// The model-only upper bound on `δ(f_a, g)` (δ* of Definition 4.1),
-    /// when the family defines one. `None` means no bound exists and any
-    /// screening built on it must fall back to exact scans.
-    fn upper_bound(m1: &Self::Model, m2: &Self::Model, g: AggFn) -> Option<f64> {
-        let _ = (m1, m2, g);
-        None
-    }
+    /// The model-only upper bound on `δ(f_a, g)` (δ* of Definition 4.1,
+    /// with the dt and cluster analogues of [`crate::bound`]).
+    fn upper_bound(m1: &Self::Model, m2: &Self::Model, g: AggFn) -> f64;
 
     /// True when the bound *dominates* `δ(diff, g)` for this specific
     /// pair, i.e. pruning on `upper_bound` is sound (Theorem 4.2 (1)).
-    /// Families without a bound, non-`f_a` difference functions, and
-    /// mixed-minsup lits pairs all answer `false`.
-    fn bound_dominates(diff: DiffFn, m1: &Self::Model, m2: &Self::Model) -> bool {
-        let _ = (diff, m1, m2);
-        false
-    }
+    /// Non-`f_a` difference functions and mixed-minsup lits pairs answer
+    /// `false`.
+    fn bound_dominates(diff: DiffFn, m1: &Self::Model, m2: &Self::Model) -> bool;
 }
 
 // ---------------------------------------------------------------------------
@@ -177,7 +166,6 @@ impl ModelFamily for LitsFamily {
         Self: 'a;
 
     const NAME: &'static str = "lits";
-    const HAS_BOUND: bool = true;
     const BOUND_IS_METRIC: bool = true;
 
     fn gcr(m1: &LitsModel, m2: &LitsModel) -> Vec<Itemset> {
@@ -226,8 +214,8 @@ impl ModelFamily for LitsFamily {
         data.len() as u64
     }
 
-    fn upper_bound(m1: &LitsModel, m2: &LitsModel, g: AggFn) -> Option<f64> {
-        Some(crate::bound::lits_upper_bound(m1, m2, g))
+    fn upper_bound(m1: &LitsModel, m2: &LitsModel, g: AggFn) -> f64 {
+        crate::bound::lits_upper_bound(m1, m2, g)
     }
 
     fn bound_dominates(diff: DiffFn, m1: &LitsModel, m2: &LitsModel) -> bool {
@@ -308,7 +296,6 @@ impl ModelFamily for DtFamily {
         Self: 'a;
 
     const NAME: &'static str = "dt";
-    const HAS_BOUND: bool = true;
     const BOUND_IS_METRIC: bool = true;
 
     fn gcr(m1: &DtModel, m2: &DtModel) -> DtGcr {
@@ -380,8 +367,8 @@ impl ModelFamily for DtFamily {
         data.len() as u64
     }
 
-    fn upper_bound(m1: &DtModel, m2: &DtModel, g: AggFn) -> Option<f64> {
-        Some(crate::bound::dt_upper_bound(m1, m2, g))
+    fn upper_bound(m1: &DtModel, m2: &DtModel, g: AggFn) -> f64 {
+        crate::bound::dt_upper_bound(m1, m2, g)
     }
 
     fn bound_dominates(diff: DiffFn, m1: &DtModel, m2: &DtModel) -> bool {
@@ -467,7 +454,6 @@ impl ModelFamily for ClusterFamily {
         Self: 'a;
 
     const NAME: &'static str = "cluster";
-    const HAS_BOUND: bool = true;
     // Explicitly NOT a metric: δ*(C, C) > 0 for overlapping clusters, so
     // the bound grid must never be fed to MDS or triangle pruning.
     const BOUND_IS_METRIC: bool = false;
@@ -500,7 +486,7 @@ impl ModelFamily for ClusterFamily {
         _side: Side,
         par: Parallelism,
     ) -> Vec<f64> {
-        count_boxes_par(data, gcr, par)
+        count_boxes(data, gcr, par)
             .into_iter()
             .map(|c| c as f64)
             .collect()
@@ -514,8 +500,8 @@ impl ModelFamily for ClusterFamily {
         data.len() as u64
     }
 
-    fn upper_bound(m1: &ClusterModel, m2: &ClusterModel, g: AggFn) -> Option<f64> {
-        Some(crate::bound::cluster_upper_bound(m1, m2, g))
+    fn upper_bound(m1: &ClusterModel, m2: &ClusterModel, g: AggFn) -> f64 {
+        crate::bound::cluster_upper_bound(m1, m2, g)
     }
 
     fn bound_dominates(diff: DiffFn, _m1: &ClusterModel, _m2: &ClusterModel) -> bool {
@@ -533,16 +519,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn family_names_and_bound_presence() {
+    fn family_names_and_metric_bounds() {
         assert_eq!(LitsFamily::NAME, "lits");
         assert_eq!(DtFamily::NAME, "dt");
         assert_eq!(ClusterFamily::NAME, "cluster");
-        // Compile-time contract: every family carries a model-only bound,
-        // but only the lits/dt bounds are pseudo-metrics.
+        // Compile-time contract: only the lits/dt bounds are pseudo-metrics.
         const {
-            assert!(LitsFamily::HAS_BOUND);
-            assert!(DtFamily::HAS_BOUND);
-            assert!(ClusterFamily::HAS_BOUND);
             assert!(LitsFamily::BOUND_IS_METRIC);
             assert!(DtFamily::BOUND_IS_METRIC);
             assert!(!ClusterFamily::BOUND_IS_METRIC);
@@ -575,7 +557,7 @@ mod tests {
         assert!(DtFamily::bound_dominates(DiffFn::Absolute, &m(2), &m(2)));
         assert!(!DtFamily::bound_dominates(DiffFn::Scaled, &m(2), &m(2)));
         assert!(!DtFamily::bound_dominates(DiffFn::Absolute, &m(2), &m(3)));
-        assert!(DtFamily::upper_bound(&m(2), &m(3), AggFn::Sum).is_some());
+        assert!(DtFamily::upper_bound(&m(2), &m(3), AggFn::Sum).is_finite());
     }
 
     #[test]
@@ -583,7 +565,7 @@ mod tests {
         let c = ClusterModel::new(Vec::new(), Vec::new(), 0);
         assert!(ClusterFamily::bound_dominates(DiffFn::Absolute, &c, &c));
         assert!(!ClusterFamily::bound_dominates(DiffFn::Scaled, &c, &c));
-        assert_eq!(ClusterFamily::upper_bound(&c, &c, AggFn::Sum), Some(0.0));
+        assert_eq!(ClusterFamily::upper_bound(&c, &c, AggFn::Sum), 0.0);
     }
 
     #[test]

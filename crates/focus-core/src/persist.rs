@@ -61,6 +61,9 @@ pub fn read_lits_model<R: Read>(r: R) -> std::io::Result<LitsModel> {
         .trim()
         .parse()
         .map_err(|e| bad(&format!("bad minsup: {e}")))?;
+    if !(0.0..=1.0).contains(&minsup) {
+        return Err(bad(&format!("minsup {minsup} is not a fraction in [0, 1]")));
+    }
     let n: u64 = parts
         .next()
         .ok_or_else(|| bad("missing n"))?
@@ -85,6 +88,11 @@ pub fn read_lits_model<R: Read>(r: R) -> std::io::Result<LitsModel> {
             .trim()
             .parse()
             .map_err(|e| bad(&format!("bad support: {e}")))?;
+        // A support is a fraction of transactions (Definition 3.2); NaN or
+        // out-of-range values would poison every bound and deviation.
+        if !(0.0..=1.0).contains(&sup) {
+            return Err(bad(&format!("support {sup} is not a fraction in [0, 1]")));
+        }
         itemsets.push(Itemset::new(items));
         supports.push(sup);
     }
@@ -137,6 +145,9 @@ pub fn read_dt_model<R: Read>(r: R) -> std::io::Result<(DtModel, Arc<Schema>)> {
     let k: u32 = fields[0]
         .parse()
         .map_err(|e| bad(&format!("bad classes: {e}")))?;
+    if k == 0 {
+        return Err(bad("dt-model needs at least one class"));
+    }
     let n_rows: u64 = fields[2].parse().map_err(|e| bad(&format!("bad n: {e}")))?;
 
     let (schema, region_lines) = read_schema_and_regions(lines, "leaf")?;
@@ -596,5 +607,39 @@ mod tests {
         let err = read_dt_model(text.as_bytes()).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("code 5"), "{err}");
+    }
+
+    #[test]
+    fn lits_reader_rejects_minsup_outside_the_unit_interval() {
+        // Regression: minsup 2 reached the assert in `LitsModel::new`.
+        for minsup in ["2", "-0.5", "NaN", "inf"] {
+            let text = format!("#lits-model minsup {minsup} n 5\n0 | 0.5\n");
+            let err = read_lits_model(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{minsup}");
+            assert!(err.to_string().contains("minsup"), "{err}");
+        }
+    }
+
+    #[test]
+    fn lits_reader_rejects_supports_outside_the_unit_interval() {
+        // Regression: a `nan` support loaded and made `bound` print NaN.
+        for sup in ["nan", "NaN", "inf", "-inf", "-3", "7", "1.0000001"] {
+            let text = format!("#lits-model minsup 0.1 n 5\n0 | {sup}\n");
+            let err = read_lits_model(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{sup}");
+            assert!(err.to_string().contains("support"), "{err}");
+        }
+        let edges = "#lits-model minsup 0 n 5\n0 | 0\n1 | 1\n";
+        assert_eq!(read_lits_model(edges.as_bytes()).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn dt_reader_rejects_zero_classes() {
+        // Regression: `classes 0` with zero leaves reached the
+        // `n_classes > 0` assert in `DtModel::new`.
+        let text = "#dt-model classes 0 n 10 leaves 0\n#num x\n";
+        let err = read_dt_model(text.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("class"), "{err}");
     }
 }

@@ -9,29 +9,98 @@
 //! deviation pipeline on each pair, and report where the observed deviation
 //! falls in that distribution (the "%sig" columns of Figures 13 and 14).
 //!
-//! The heavy lifting is generic in `focus-stats`; this module adapts it to
-//! the two dataset shapes, resampling *indices* so rows are never cloned.
+//! [`qualify`] is that procedure, once, for any dataset shape with
+//! [`Resample`] (transactions and labelled tables); [`qualify_chi_squared`]
+//! calibrates the chi-squared statistic the same way (Section 5.2.2). Both
+//! run on the one resample-and-evaluate loop of `focus-stats`
+//! ([`replicates`]), drawing *indices* so rows are never cloned.
 //!
 //! Each bootstrap replicate runs the full model-induction pipeline, so the
-//! fan-out over replicates dominates qualification cost. Every function here
-//! therefore takes (or defaults) a [`Parallelism`]: replicate `i` seeds its
-//! own `StdRng` from `derive_seed(seed, i)`, making the null distribution a
-//! pure function of `(datasets, reps, seed)` — bit-identical for any thread
-//! count.
+//! fan-out over replicates dominates qualification cost. Replicate `i`
+//! seeds its own `StdRng` from `derive_seed(seed, i)`, making the null
+//! distribution a pure function of `(datasets, reps, seed)` — bit-identical
+//! for any thread count.
 
 use crate::data::{resample_indices, LabeledTable, TransactionSet};
-use focus_exec::{derive_seed, map_indices, Parallelism};
-use focus_stats::bootstrap::{significance_percent, BootstrapResult};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use focus_exec::Parallelism;
+use focus_stats::bootstrap::{replicates, BootstrapResult};
 
-/// Qualifies an observed deviation between two transaction datasets.
+/// A dataset shape the bootstrap can pool and resample: both
+/// [`TransactionSet`] and [`LabeledTable`] already provide these.
+pub trait Resample: Sync + Sized {
+    /// Number of rows/transactions.
+    fn len(&self) -> usize;
+    /// True when there are no rows.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// `self` followed by `other` (the pooled dataset).
+    fn concat(&self, other: &Self) -> Self;
+    /// The rows at `indices`, in that order (repeats allowed).
+    fn subset(&self, indices: &[usize]) -> Self;
+}
+
+impl Resample for TransactionSet {
+    fn len(&self) -> usize {
+        TransactionSet::len(self)
+    }
+    fn concat(&self, other: &Self) -> Self {
+        TransactionSet::concat(self, other)
+    }
+    fn subset(&self, indices: &[usize]) -> Self {
+        TransactionSet::subset(self, indices)
+    }
+}
+
+impl Resample for LabeledTable {
+    fn len(&self) -> usize {
+        LabeledTable::len(self)
+    }
+    fn concat(&self, other: &Self) -> Self {
+        LabeledTable::concat(self, other)
+    }
+    fn subset(&self, indices: &[usize]) -> Self {
+        LabeledTable::subset(self, indices)
+    }
+}
+
+/// Qualifies an observed deviation between two datasets with `reps`
+/// bootstrap replicates fanned out over `par` worker threads.
 ///
 /// `stat` must be the complete pipeline "induce a model from each dataset,
 /// compute their deviation" — e.g. mine frequent itemsets at the original
-/// minimum support and evaluate `δ(f_a, g_sum)`.
+/// minimum support and evaluate `δ(f_a, g_sum)`, or build a tree on each
+/// pseudo-dataset for dt-models.
 ///
 /// Returns the bootstrap null distribution and the significance percentage.
+pub fn qualify<D, F>(
+    d1: &D,
+    d2: &D,
+    observed: f64,
+    reps: usize,
+    seed: u64,
+    par: Parallelism,
+    stat: F,
+) -> BootstrapResult
+where
+    D: Resample,
+    F: Fn(&D, &D) -> f64 + Sync,
+{
+    assert!(
+        !d1.is_empty() && !d2.is_empty(),
+        "datasets must be non-empty"
+    );
+    let pool = d1.concat(d2);
+    let null = replicates(reps, seed, par, |rng| {
+        let i1 = resample_indices(pool.len(), d1.len(), rng);
+        let i2 = resample_indices(pool.len(), d2.len(), rng);
+        stat(&pool.subset(&i1), &pool.subset(&i2))
+    });
+    BootstrapResult::new(observed, null)
+}
+
+/// [`qualify`] for transaction datasets at the process-wide default
+/// parallelism.
 pub fn qualify_transactions<F>(
     d1: &TransactionSet,
     d2: &TransactionSet,
@@ -43,120 +112,19 @@ pub fn qualify_transactions<F>(
 where
     F: Fn(&TransactionSet, &TransactionSet) -> f64 + Sync,
 {
-    qualify_transactions_par(d1, d2, observed, reps, seed, Parallelism::Global, stat)
-}
-
-/// [`qualify_transactions`] with an explicit [`Parallelism`] for the
-/// per-replicate fan-out.
-pub fn qualify_transactions_par<F>(
-    d1: &TransactionSet,
-    d2: &TransactionSet,
-    observed: f64,
-    reps: usize,
-    seed: u64,
-    par: Parallelism,
-    stat: F,
-) -> BootstrapResult
-where
-    F: Fn(&TransactionSet, &TransactionSet) -> f64 + Sync,
-{
-    assert!(
-        !d1.is_empty() && !d2.is_empty(),
-        "datasets must be non-empty"
-    );
-    let pool = d1.concat(d2);
-    let mut null = map_indices(par, reps, |rep| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, rep as u64));
-        let i1 = resample_indices(pool.len(), d1.len(), &mut rng);
-        let i2 = resample_indices(pool.len(), d2.len(), &mut rng);
-        stat(&pool.subset(&i1), &pool.subset(&i2))
-    });
-    let significance = significance_percent(observed, &null);
-    null.sort_by(|a, b| a.partial_cmp(b).expect("NaN deviation in bootstrap"));
-    BootstrapResult {
-        observed,
-        null_distribution: null,
-        significance_percent: significance,
-    }
-}
-
-/// Qualifies an observed deviation between two labelled tables. Mirrors
-/// [`qualify_transactions`] for the dt-model pipeline (build a tree on each
-/// pseudo-dataset, compute the deviation).
-pub fn qualify_tables<F>(
-    d1: &LabeledTable,
-    d2: &LabeledTable,
-    observed: f64,
-    reps: usize,
-    seed: u64,
-    stat: F,
-) -> BootstrapResult
-where
-    F: Fn(&LabeledTable, &LabeledTable) -> f64 + Sync,
-{
-    qualify_tables_par(d1, d2, observed, reps, seed, Parallelism::Global, stat)
-}
-
-/// [`qualify_tables`] with an explicit [`Parallelism`] for the
-/// per-replicate fan-out.
-pub fn qualify_tables_par<F>(
-    d1: &LabeledTable,
-    d2: &LabeledTable,
-    observed: f64,
-    reps: usize,
-    seed: u64,
-    par: Parallelism,
-    stat: F,
-) -> BootstrapResult
-where
-    F: Fn(&LabeledTable, &LabeledTable) -> f64 + Sync,
-{
-    assert!(
-        !d1.is_empty() && !d2.is_empty(),
-        "datasets must be non-empty"
-    );
-    let pool = d1.concat(d2);
-    let mut null = map_indices(par, reps, |rep| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, rep as u64));
-        let i1 = resample_indices(pool.len(), d1.len(), &mut rng);
-        let i2 = resample_indices(pool.len(), d2.len(), &mut rng);
-        stat(&pool.subset(&i1), &pool.subset(&i2))
-    });
-    let significance = significance_percent(observed, &null);
-    null.sort_by(|a, b| a.partial_cmp(b).expect("NaN deviation in bootstrap"));
-    BootstrapResult {
-        observed,
-        null_distribution: null,
-        significance_percent: significance,
-    }
+    qualify(d1, d2, observed, reps, seed, Parallelism::Global, stat)
 }
 
 /// Bootstrap calibration of the chi-squared statistic (Section 5.2.2):
 /// estimates the exact null distribution of `X²` ("distribution of X² values
 /// when the new dataset fits the old model") by resampling pseudo-`D2`s
-/// from `D2` itself... against the old model's expectations — then reports
-/// the p-value of the observed statistic.
+/// of size `n2` against the old model's expectations — then reports the
+/// p-value of the observed statistic. Replicates fan out over `par`.
 ///
 /// `stat` evaluates the statistic of one pseudo-dataset against the fixed
 /// old model; resampling is from the *old* dataset `d1` (datasets that do
 /// fit the old model by construction).
 pub fn qualify_chi_squared<F>(
-    d1: &LabeledTable,
-    n2: usize,
-    observed: f64,
-    reps: usize,
-    seed: u64,
-    stat: F,
-) -> BootstrapResult
-where
-    F: Fn(&LabeledTable) -> f64 + Sync,
-{
-    qualify_chi_squared_par(d1, n2, observed, reps, seed, Parallelism::Global, stat)
-}
-
-/// [`qualify_chi_squared`] with an explicit [`Parallelism`] for the
-/// per-replicate fan-out.
-pub fn qualify_chi_squared_par<F>(
     d1: &LabeledTable,
     n2: usize,
     observed: f64,
@@ -170,30 +138,24 @@ where
 {
     assert!(!d1.is_empty(), "dataset must be non-empty");
     assert!(n2 > 0, "target dataset size must be positive");
-    let mut null = map_indices(par, reps, |rep| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, rep as u64));
-        let idx = resample_indices(d1.len(), n2, &mut rng);
-        stat(&d1.subset(&idx))
+    let null = replicates(reps, seed, par, |rng| {
+        stat(&d1.subset(&resample_indices(d1.len(), n2, rng)))
     });
-    let significance = significance_percent(observed, &null);
-    null.sort_by(|a, b| a.partial_cmp(b).expect("NaN statistic in bootstrap"));
-    BootstrapResult {
-        observed,
-        null_distribution: null,
-        significance_percent: significance,
-    }
+    BootstrapResult::new(observed, null)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::{Schema, Value};
-    use crate::deviation::dt_deviation;
+    use crate::deviation::deviate;
     use crate::diff::{AggFn, DiffFn};
+    use crate::family::DtFamily;
     use crate::model::induce_dt_measures;
     use crate::monitor::chi_squared_statistic;
     use crate::region::BoxBuilder;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::sync::Arc;
 
     fn txn_dataset(seed: u64, n: usize, p_item0: f64) -> TransactionSet {
@@ -268,7 +230,7 @@ mod tests {
         };
         let m1 = induce_dt_measures(leaves(), a);
         let m2 = induce_dt_measures(leaves(), b);
-        dt_deviation(&m1, a, &m2, b, DiffFn::Absolute, AggFn::Sum).value
+        deviate::<DtFamily>(&m1, a, &m2, b, DiffFn::Absolute, AggFn::Sum).value
     }
 
     #[test]
@@ -278,7 +240,15 @@ mod tests {
         let d_shift = labeled_dataset(3, 400, 75.0);
 
         let obs_same = stump_deviation(&d1, &d_same);
-        let r_same = qualify_tables(&d1, &d_same, obs_same, 49, 11, stump_deviation);
+        let r_same = qualify(
+            &d1,
+            &d_same,
+            obs_same,
+            49,
+            11,
+            Parallelism::Global,
+            stump_deviation,
+        );
         assert!(
             r_same.significance_percent < 99.0,
             "same-process sig = {}",
@@ -286,7 +256,15 @@ mod tests {
         );
 
         let obs_shift = stump_deviation(&d1, &d_shift);
-        let r_shift = qualify_tables(&d1, &d_shift, obs_shift, 49, 11, stump_deviation);
+        let r_shift = qualify(
+            &d1,
+            &d_shift,
+            obs_shift,
+            49,
+            11,
+            Parallelism::Global,
+            stump_deviation,
+        );
         assert!(
             r_shift.significance_percent >= 95.0,
             "shifted sig = {}",
@@ -307,9 +285,9 @@ mod tests {
         );
         // A dataset that fits the old model: X² should be unremarkable.
         let d_fit = labeled_dataset(6, 300, 50.0);
-        let obs_fit = chi_squared_statistic(&model, &d_fit, 0.5);
-        let r = qualify_chi_squared(&d1, 300, obs_fit, 99, 13, |d| {
-            chi_squared_statistic(&model, d, 0.5)
+        let obs_fit = chi_squared_statistic(&model, &d_fit, 0.5, Parallelism::Global);
+        let r = qualify_chi_squared(&d1, 300, obs_fit, 99, 13, Parallelism::Global, |d| {
+            chi_squared_statistic(&model, d, 0.5, Parallelism::Global)
         });
         assert!(
             r.significance_percent < 99.0,
@@ -318,9 +296,9 @@ mod tests {
         );
         // A drifted dataset: X² should land in the extreme tail.
         let d_drift = labeled_dataset(7, 300, 80.0);
-        let obs_drift = chi_squared_statistic(&model, &d_drift, 0.5);
-        let r = qualify_chi_squared(&d1, 300, obs_drift, 99, 13, |d| {
-            chi_squared_statistic(&model, d, 0.5)
+        let obs_drift = chi_squared_statistic(&model, &d_drift, 0.5, Parallelism::Global);
+        let r = qualify_chi_squared(&d1, 300, obs_drift, 99, 13, Parallelism::Global, |d| {
+            chi_squared_statistic(&model, d, 0.5, Parallelism::Global)
         });
         assert!(
             r.significance_percent >= 99.0,

@@ -40,9 +40,9 @@
 //! never builds an index — a forced-horizontal knob.
 
 use crate::data::TransactionSet;
-use crate::model::count_itemsets_par;
+use crate::model::count_itemsets;
 use crate::region::Itemset;
-use crate::vertical::{count_itemsets_grouped_par, VerticalIndex};
+use crate::vertical::{count_itemsets_grouped, VerticalIndex};
 use focus_exec::Parallelism;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -230,7 +230,7 @@ impl<'a> CountSource<'a> {
     /// the workload's shape, never on what an earlier call cached — and a
     /// winning index choice reuses (or race-safely builds) the cached
     /// index. Index counting goes through the batched prefix-run path
-    /// ([`count_itemsets_grouped_par`]), so sibling itemsets in a
+    /// ([`count_itemsets_grouped`]), so sibling itemsets in a
     /// measure-extension workload share one cached prefix mask per run.
     /// Counts are bit-identical across arms and thread counts.
     pub fn counts(&self, itemsets: &[Itemset], par: Parallelism) -> Vec<u64> {
@@ -244,9 +244,9 @@ impl<'a> CountSource<'a> {
             self.budget,
         ) {
             let index = self.cache.get_or_init(|| VerticalIndex::build(data));
-            count_itemsets_grouped_par(index, itemsets, par)
+            count_itemsets_grouped(index, itemsets, par)
         } else {
-            count_itemsets_par(data, itemsets, par)
+            count_itemsets(data, itemsets, par)
         }
     }
 }
@@ -327,7 +327,7 @@ mod tests {
             .chain((0..10u32).map(|i| Itemset::from_slice(&[i, i + 1])))
             .chain([Itemset::new(vec![]), Itemset::from_slice(&[40])])
             .collect();
-        let reference = count_itemsets_par(&ts, &sets, Parallelism::Sequential);
+        let reference = count_itemsets(&ts, &sets, Parallelism::Sequential);
         let borrowed = CountSource::borrowed(&ts).with_index_budget(DEFAULT_INDEX_BUDGET);
         assert_eq!(borrowed.counts(&sets, Parallelism::Sequential), reference);
         assert!(
@@ -356,10 +356,7 @@ mod tests {
         // The second call reuses the cached index and agrees bit-for-bit.
         let second = source.counts(&sets, Parallelism::Sequential);
         assert_eq!(first, second);
-        assert_eq!(
-            first,
-            count_itemsets_par(&ts, &sets, Parallelism::Sequential)
-        );
+        assert_eq!(first, count_itemsets(&ts, &sets, Parallelism::Sequential));
     }
 
     #[test]

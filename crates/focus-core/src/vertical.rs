@@ -14,7 +14,7 @@
 //! `u64` partials — so counts are bit-identical to the sequential fold for
 //! every thread count, exactly like the horizontal scans.
 //!
-//! Counting semantics match [`crate::model::count_itemsets_par`] case for
+//! Counting semantics match [`crate::model::count_itemsets`] case for
 //! case: the empty itemset is supported by every transaction, and an item
 //! outside the dataset's universe supports nothing.
 
@@ -221,7 +221,7 @@ fn resolve_itemsets(index: &VerticalIndex, itemsets: &[Itemset]) -> (Vec<u64>, V
 /// run order and every count is an exact `u64` popcount of the itemset's
 /// cover, so the counts are bit-identical to the horizontal scan and to
 /// themselves for any thread count.
-pub fn count_itemsets_grouped_par(
+pub fn count_itemsets_grouped(
     index: &VerticalIndex,
     itemsets: &[Itemset],
     par: Parallelism,
@@ -277,15 +277,10 @@ pub fn count_itemsets_grouped_par(
     counts
 }
 
-/// [`count_itemsets_grouped_par`] at the process-wide default parallelism.
-pub fn count_itemsets_grouped(index: &VerticalIndex, itemsets: &[Itemset]) -> Vec<u64> {
-    count_itemsets_grouped_par(index, itemsets, Parallelism::Global)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::count_itemsets_par;
+    use crate::model::count_itemsets;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -319,14 +314,20 @@ mod tests {
             Itemset::from_slice(&[1]),
             Itemset::from_slice(&[0, 1]),
         ];
-        assert_eq!(count_itemsets_grouped(&idx, &sets), vec![3, 3, 2]);
+        assert_eq!(
+            count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+            vec![3, 3, 2]
+        );
     }
 
     #[test]
     fn empty_itemset_counts_every_transaction() {
         let idx = VerticalIndex::build(&toy());
         let sets = vec![Itemset::new(vec![])];
-        assert_eq!(count_itemsets_grouped(&idx, &sets), vec![4]);
+        assert_eq!(
+            count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+            vec![4]
+        );
         assert_eq!(idx.support_count(&[], Parallelism::Sequential), 4);
     }
 
@@ -334,7 +335,10 @@ mod tests {
     fn out_of_range_items_count_zero() {
         let idx = VerticalIndex::build(&toy());
         let sets = vec![Itemset::from_slice(&[7]), Itemset::from_slice(&[0, 7])];
-        assert_eq!(count_itemsets_grouped(&idx, &sets), vec![0, 0]);
+        assert_eq!(
+            count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+            vec![0, 0]
+        );
         assert_eq!(idx.item_support(7), 0);
         assert_eq!(idx.support_count(&[0, 7], Parallelism::Sequential), 0);
         assert_eq!(
@@ -349,7 +353,10 @@ mod tests {
         let idx = VerticalIndex::build(&ts);
         assert_eq!(idx.words_per_item(), 0);
         let sets = vec![Itemset::new(vec![]), Itemset::from_slice(&[1])];
-        assert_eq!(count_itemsets_grouped(&idx, &sets), vec![0, 0]);
+        assert_eq!(
+            count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+            vec![0, 0]
+        );
     }
 
     #[test]
@@ -406,9 +413,12 @@ mod tests {
             sets.push(Itemset::new(vec![]));
             sets.push(Itemset::from_slice(&[0, 2, 4]));
             sets.push(Itemset::from_slice(&[n_items + 3]));
-            let horizontal = count_itemsets_par(&ts, &sets, Parallelism::Sequential);
+            let horizontal = count_itemsets(&ts, &sets, Parallelism::Sequential);
             let idx = VerticalIndex::build(&ts);
-            assert_eq!(count_itemsets_grouped(&idx, &sets), horizontal);
+            assert_eq!(
+                count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+                horizontal
+            );
             let direct: Vec<u64> = sets
                 .iter()
                 .map(|s| idx.support_count(s.items(), Parallelism::Sequential))
@@ -443,11 +453,14 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(count_itemsets_grouped(&idx, &sets), reference);
+        assert_eq!(
+            count_itemsets_grouped(&idx, &sets, Parallelism::Global),
+            reference
+        );
         // Order invariance: reversing the workload permutes the counts
         // identically.
         sets.reverse();
-        let reversed = count_itemsets_grouped(&idx, &sets);
+        let reversed = count_itemsets_grouped(&idx, &sets, Parallelism::Global);
         let mut expect = reference;
         expect.reverse();
         assert_eq!(reversed, expect);

@@ -37,6 +37,22 @@
 //! (the CLI's `--threads` flag), else the `FOCUS_THREADS` environment
 //! variable (`0` or `auto` = one thread per core), else one thread per
 //! available core.
+//!
+//! One rule says where the value goes, so every parallel operation has
+//! exactly one public entry point:
+//!
+//! * free functions take `par: Parallelism` as their last argument (just
+//!   before a trailing closure argument, where there is one);
+//! * estimators read it from their parameter struct (`AprioriParams`,
+//!   `TreeParams`, `KMeansParams`, `MatrixParams`);
+//! * only the two entry points the benchmark harness pins,
+//!   `focus_core::deviation::deviate` and
+//!   `focus_core::qualify::qualify_transactions`, run at
+//!   `Parallelism::Global` without taking it. Their engines,
+//!   `deviate_over` and `qualify`, take it explicitly. One-call helpers
+//!   built on these operations (the `induce_*_measures` constructors, the
+//!   `report` builders, `me_via_deviation`, `chi_squared_test`) also run
+//!   at `Global`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

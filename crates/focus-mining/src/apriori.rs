@@ -19,7 +19,7 @@
 //! first level whose projected scan cost favours the vertical tid-bitset
 //! index ([`focus_core::vertical`]) builds it; that level and every later
 //! one count through the batched prefix-run kernel
-//! ([`count_itemsets_grouped_par`]) — one cached `(k−1)`-prefix mask per
+//! ([`count_itemsets_grouped`]) — one cached `(k−1)`-prefix mask per
 //! candidate run, one masked popcount per extension. Both arms produce
 //! identical `u64` counts, hence identical mined models.
 
@@ -27,7 +27,7 @@ use focus_core::data::TransactionSet;
 use focus_core::model::LitsModel;
 use focus_core::region::Itemset;
 use focus_core::source::{global_index_budget, prefers_index};
-use focus_core::vertical::{count_itemsets_grouped_par, VerticalIndex};
+use focus_core::vertical::{count_itemsets_grouped, VerticalIndex};
 use focus_exec::{map_chunks, merge_counts, Parallelism};
 use std::collections::{HashMap, HashSet};
 
@@ -205,7 +205,7 @@ impl Apriori {
                 vindex = Some(VerticalIndex::build(data));
             }
             let counts = match &vindex {
-                Some(idx) => count_itemsets_grouped_par(idx, &candidates, self.params.parallelism),
+                Some(idx) => count_itemsets_grouped(idx, &candidates, self.params.parallelism),
                 None => count_candidates(data, &candidates, k, self.params.parallelism),
             };
             let mut next: Vec<Itemset> = Vec::new();
@@ -434,7 +434,7 @@ mod tests {
         let all: Vec<Itemset> = (1u32..(1 << n_items))
             .map(|mask| Itemset::new((0..n_items).filter(|i| mask & (1 << i) != 0).collect()))
             .collect();
-        let counts = count_itemsets(data, &all);
+        let counts = count_itemsets(data, &all, Parallelism::Global);
         let n = data.len() as f64;
         let min_count = (minsup * n).ceil().max(1.0) as u64;
         let mut out: Vec<(Itemset, f64)> = all
@@ -506,7 +506,7 @@ mod tests {
             data.push(t);
         }
         let m = Apriori::new(AprioriParams::with_minsup(0.05)).mine(&data);
-        let counts = count_itemsets(&data, m.itemsets());
+        let counts = count_itemsets(&data, m.itemsets(), Parallelism::Global);
         for (i, &c) in counts.iter().enumerate() {
             let sup = c as f64 / data.len() as f64;
             assert!(

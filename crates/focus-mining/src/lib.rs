@@ -26,9 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod apriori;
-pub mod condense;
 pub mod rules;
 
 pub use apriori::{Apriori, AprioriParams, CountBackend};
-pub use condense::{closed_itemsets, maximal_itemsets};
 pub use rules::{generate_rules, rule_set_deviation, Rule};

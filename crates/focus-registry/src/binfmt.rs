@@ -704,6 +704,12 @@ pub fn decode_lits_model(bytes: &[u8]) -> Result<LitsModel, BinError> {
     let n_sets = head.count()?;
     let total = head.count()?;
     head.done()?;
+    if !(0.0..=1.0).contains(&minsup) {
+        return Err(BinError::Malformed {
+            section: "HEAD",
+            what: format!("minsup {minsup} is not a fraction in [0, 1]"),
+        });
+    }
 
     let mut offs = dec.section("OFFS")?;
     let n_offsets = n_sets.checked_add(1).ok_or_else(|| BinError::Malformed {
@@ -719,6 +725,15 @@ pub fn decode_lits_model(bytes: &[u8]) -> Result<LitsModel, BinError> {
     let supports = supp.f64_column(n_sets)?;
     supp.done()?;
     dec.finish()?;
+    if let Some(k) = supports.iter().position(|s| !(0.0..=1.0).contains(s)) {
+        return Err(BinError::Malformed {
+            section: "SUPP",
+            what: format!(
+                "support {} of itemset {k} is not a fraction in [0, 1]",
+                supports[k]
+            ),
+        });
+    }
 
     if offsets.first() != Some(&0) || offsets.last() != Some(&(total as u64)) {
         return Err(BinError::Malformed {
@@ -1234,6 +1249,47 @@ mod tests {
             pos += 12 + len + 8;
         }
         out
+    }
+
+    /// Overwrites bytes at `offset` inside section `tag`'s payload and
+    /// re-seals its checksum: a forgery the framing cannot detect.
+    fn forge(bytes: &[u8], tag: &str, offset: usize, patch: &[u8]) -> Vec<u8> {
+        let (_, range) = sections_of(bytes)
+            .into_iter()
+            .find(|(t, _)| t == tag)
+            .expect("section present");
+        let mut out = bytes.to_vec();
+        let at = range.start + offset;
+        out[at..at + patch.len()].copy_from_slice(patch);
+        let sum = checksum64(&out[range.clone()]);
+        out[range.end..range.end + 8].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn lits_model_decoder_rejects_non_fraction_minsup_and_supports() {
+        // Regression: a forged minsup reached the assert in
+        // `LitsModel::new`, and a NaN support decoded into the model.
+        let model = LitsModel::new(vec![Itemset::from_slice(&[1])], vec![0.5], 0.1, 10);
+        let bytes = encode_lits_model(&model);
+        for bad in [f64::NAN, 2.0, -0.25, f64::INFINITY] {
+            let forged = forge(&bytes, "HEAD", 0, &bad.to_bits().to_le_bytes());
+            match decode_lits_model(&forged).unwrap_err() {
+                BinError::Malformed { section, what } => {
+                    assert_eq!(section, "HEAD");
+                    assert!(what.contains("minsup"), "{what}");
+                }
+                other => panic!("minsup {bad}: want Malformed, got {other}"),
+            }
+            let forged = forge(&bytes, "SUPP", 0, &bad.to_bits().to_le_bytes());
+            match decode_lits_model(&forged).unwrap_err() {
+                BinError::Malformed { section, what } => {
+                    assert_eq!(section, "SUPP");
+                    assert!(what.contains("support"), "{what}");
+                }
+                other => panic!("support {bad}: want Malformed, got {other}"),
+            }
+        }
     }
 
     /// The corruption sweep of the issue: flip one byte in every

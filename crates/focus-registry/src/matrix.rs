@@ -5,7 +5,7 @@
 //! ([`ModelFamily::upper_bound`]) for every unordered pair — a pure
 //! function of the two *models*, no dataset scans, effectively free (the
 //! "Time for δ*" column of Figure 13). Phase 2 runs the exact data-scan
-//! deviation ([`focus_core::deviation::deviate_sources_par`], over one
+//! deviation ([`focus_core::deviation::deviate_over`], over one
 //! shared access handle per snapshot) only for pairs whose
 //! bound exceeds the caller's threshold (or, in `--top K` mode, for the K
 //! pairs with the largest bounds); by Theorem 4.2 (1) `δ(f_a, g) ≤ δ*`, so
@@ -31,12 +31,10 @@
 //! whole matrix inherits the workspace determinism contract: bit-identical
 //! results for any worker-thread count.
 
-use focus_core::data::TransactionSet;
-use focus_core::deviation::deviate_sources_par;
+use focus_core::deviation::deviate_over;
 use focus_core::diff::{AggFn, DiffFn};
 use focus_core::embed::DistanceMatrix;
-use focus_core::family::{LitsFamily, ModelFamily};
-use focus_core::model::LitsModel;
+use focus_core::family::ModelFamily;
 use focus_exec::{map_indices, Parallelism};
 
 /// A named, recoverable failure of the matrix engine: invalid screening
@@ -68,7 +66,7 @@ pub enum MatrixError {
     BaseMismatch(String),
     /// A distance was required for a pair whose cell is unavailable:
     /// embedding needs a value for *every* pair, but this one's exact scan
-    /// was pruned (non-metric or boundless matrix) or its δ* bound was
+    /// was pruned (non-metric matrix) or its δ* bound was
     /// skipped by triangle pruning. Silently substituting NaN would feed
     /// garbage into MDS, so the missing cell is reported by name instead —
     /// recompute at threshold `0.0` (triangle off) to embed.
@@ -113,11 +111,11 @@ impl From<MatrixError> for std::io::Error {
     }
 }
 
-/// Parameters for [`deviation_matrix_par`].
+/// Parameters for [`deviation_matrix`].
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixParams {
-    /// Difference function for the exact scans (the bound, where the
-    /// family defines one, is always the `f_a` bound of Definition 4.1).
+    /// Difference function for the exact scans (the bound is always the
+    /// `f_a` bound of Definition 4.1).
     pub diff: DiffFn,
     /// Aggregate `g ∈ {sum, max}`, used by both the bound and the scans.
     pub agg: AggFn,
@@ -129,7 +127,7 @@ pub struct MatrixParams {
     /// deviation ([`ModelFamily::bound_dominates`] — for lits: `f_a` and a
     /// shared minsup); every other pair is scanned regardless, since
     /// pruning there would silently discard pairs the bound does not
-    /// certify. Families without a bound scan every pair.
+    /// certify.
     pub threshold: f64,
     /// `--top K` screening: when `Some(k)`, the `k` screenable pairs with
     /// the *largest* bounds get exact scans (ties broken by pair index)
@@ -151,8 +149,8 @@ pub struct MatrixParams {
     /// same as plain screening, up to floating-point rounding of the
     /// envelope sums for bounds within ~1 ulp of the threshold. Ignored
     /// for full-matrix computation (each bound is evaluated once and used
-    /// once there, so skipping cannot win), for non-metric or boundless
-    /// families, and in `--top` mode.
+    /// once there, so skipping cannot win), for non-metric families, and
+    /// in `--top` mode.
     pub triangle: bool,
     /// Worker threads for both fan-out phases.
     pub par: Parallelism,
@@ -191,10 +189,9 @@ impl MatrixParams {
 pub struct DeviationMatrix {
     names: Vec<String>,
     n: usize,
-    /// Row-major symmetric δ* bounds (zero diagonal); `None` when the
-    /// family defines no model-only bound. NaN marks a cell whose bound
-    /// evaluation was skipped by triangle pruning.
-    bounds: Option<Vec<f64>>,
+    /// Row-major symmetric δ* bounds (zero diagonal). NaN marks a cell
+    /// whose bound evaluation was skipped by triangle pruning.
+    bounds: Vec<f64>,
     /// Row-major exact deviations; NaN where the scan was pruned (see
     /// [`DeviationMatrix::exact`] for the `Option` view).
     exact: Vec<f64>,
@@ -237,21 +234,17 @@ fn pairs(n: usize) -> Vec<(usize, usize)> {
 }
 
 /// Phase 1: the δ* bound for every unordered pair, in [`pairs`] order,
-/// fanned out over `par`. Model-only — no dataset scans. `None` when the
-/// family defines no bound (nothing to screen on).
+/// fanned out over `par`. Model-only — no dataset scans.
 pub(crate) fn pair_bounds<F: ModelFamily>(
     models: &[F::Model],
     agg: AggFn,
     par: Parallelism,
-) -> Option<Vec<f64>> {
-    if !F::HAS_BOUND {
-        return None;
-    }
+) -> Vec<f64> {
     let pair_list = pairs(models.len());
-    Some(map_indices(par, pair_list.len(), |p| {
+    map_indices(par, pair_list.len(), |p| {
         let (i, j) = pair_list[p];
-        F::upper_bound(&models[i], &models[j], agg).expect("HAS_BOUND families always bound")
-    }))
+        F::upper_bound(&models[i], &models[j], agg)
+    })
 }
 
 /// Whether a dominating bound `b` certifies that its pair may skip the
@@ -267,16 +260,13 @@ fn prunable(b: f64, threshold: f64) -> bool {
 /// screening under `params`. A pair can be pruned only when its bound is
 /// finite and certified to dominate ([`ModelFamily::bound_dominates`]);
 /// among those, either the threshold cut ([`prunable`]) or the top-K cut
-/// applies. With no bounds at all, every pair survives.
+/// applies.
 fn surviving_pairs<F: ModelFamily>(
     models: &[F::Model],
-    bounds: Option<&[f64]>,
+    bounds: &[f64],
     params: &MatrixParams,
 ) -> Vec<usize> {
     let pair_list = pairs(models.len());
-    let Some(bounds) = bounds else {
-        return (0..pair_list.len()).collect();
-    };
     let dominated: Vec<bool> = pair_list
         .iter()
         .map(|&(i, j)| F::bound_dominates(params.diff, &models[i], &models[j]))
@@ -308,7 +298,7 @@ fn surviving_pairs<F: ModelFamily>(
 /// [`pair_bounds`] over the same collection.
 pub(crate) fn screened_members<F: ModelFamily>(
     models: &[F::Model],
-    bounds: Option<&[f64]>,
+    bounds: &[f64],
     params: &MatrixParams,
 ) -> Vec<bool> {
     let pair_list = pairs(models.len());
@@ -319,25 +309,6 @@ pub(crate) fn screened_members<F: ModelFamily>(
         needed[j] = true;
     }
     needed
-}
-
-/// [`deviation_matrix_par`] for the lits family at the process-wide
-/// default parallelism and default parameters except the given threshold.
-pub fn deviation_matrix(
-    models: &[LitsModel],
-    datasets: &[TransactionSet],
-    names: Vec<String>,
-    threshold: f64,
-) -> Result<DeviationMatrix, MatrixError> {
-    deviation_matrix_par::<LitsFamily>(
-        models,
-        datasets,
-        names,
-        &MatrixParams {
-            threshold,
-            ..MatrixParams::default()
-        },
-    )
 }
 
 /// Computes the screened pairwise deviation matrix of a collection of any
@@ -351,7 +322,7 @@ pub fn deviation_matrix(
 /// Bit-identical for every worker-thread count: pair enumeration, chunk
 /// decomposition, and merge order are all pure functions of the input
 /// sizes, and the per-pair scans are themselves thread-count-invariant.
-pub fn deviation_matrix_par<F: ModelFamily>(
+pub fn deviation_matrix<F: ModelFamily>(
     models: &[F::Model],
     datasets: &[F::Dataset],
     names: Vec<String>,
@@ -367,7 +338,7 @@ pub fn deviation_matrix_par<F: ModelFamily>(
     ))
 }
 
-/// [`deviation_matrix_par`] with the phase-1 bounds already in hand (in
+/// [`deviation_matrix`] with the phase-1 bounds already in hand (in
 /// [`pairs`] order) — lets the registry reuse the bounds it computed to
 /// decide which datasets to load instead of paying the sweep twice.
 /// `params` must already be validated.
@@ -376,21 +347,19 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
     datasets: &[F::Dataset],
     names: Vec<String>,
     params: &MatrixParams,
-    pair_bounds: Option<Vec<f64>>,
+    pair_bounds: Vec<f64>,
 ) -> DeviationMatrix {
     let n = models.len();
     assert_eq!(n, datasets.len(), "one dataset per model");
     assert_eq!(n, names.len(), "one name per model");
     let pair_list = pairs(n);
-    if let Some(b) = &pair_bounds {
-        assert_eq!(pair_list.len(), b.len(), "one bound per pair");
-    }
+    assert_eq!(pair_list.len(), pair_bounds.len(), "one bound per pair");
 
     // Screening: where the bound dominates the chosen deviation
     // (Theorem 4.2 (1) for lits), falling below the cut certifies the
     // pair as uninteresting; everywhere else the certificate is void and
     // the pair survives.
-    let survivors = surviving_pairs::<F>(models, pair_bounds.as_deref(), params);
+    let survivors = surviving_pairs::<F>(models, &pair_bounds, params);
 
     // Phase 2: exact scans for the surviving pairs only. Each pair is one
     // work item; nested scan parallelism inside a worker runs inline per
@@ -403,7 +372,8 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
     let sources = &sources;
     let exact_vals = map_indices(params.par, survivors.len(), |s| {
         let (i, j) = pair_list[survivors[s]];
-        deviate_sources_par::<F>(
+        deviate_over::<F>(
+            F::gcr(&models[i], &models[j]),
             &models[i],
             &sources[i],
             &models[j],
@@ -415,14 +385,11 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
         .value
     });
 
-    let bounds = pair_bounds.map(|pb| {
-        let mut bounds = vec![0.0; n * n];
-        for (p, &(i, j)) in pair_list.iter().enumerate() {
-            bounds[i * n + j] = pb[p];
-            bounds[j * n + i] = pb[p];
-        }
-        bounds
-    });
+    let mut bounds = vec![0.0; n * n];
+    for (p, &(i, j)) in pair_list.iter().enumerate() {
+        bounds[i * n + j] = pair_bounds[p];
+        bounds[j * n + i] = pair_bounds[p];
+    }
     let mut exact = vec![f64::NAN; n * n];
     for (s, &p) in survivors.iter().enumerate() {
         let (i, j) = pair_list[p];
@@ -438,7 +405,7 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
         diff: params.diff,
         agg: params.agg,
         scanned: survivors.len(),
-        metric: F::HAS_BOUND && F::BOUND_IS_METRIC,
+        metric: F::BOUND_IS_METRIC,
         bound_skips: 0,
     }
 }
@@ -449,9 +416,8 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
 /// many bound evaluations triangle pruning saved.
 pub(crate) struct NewPairPlan {
     /// `δ*(i, last)` per old member, in member order; NaN where triangle
-    /// pruning decided the pair without evaluating it. `None` for
-    /// boundless families.
-    pub bounds: Option<Vec<f64>>,
+    /// pruning decided the pair without evaluating it.
+    pub bounds: Vec<f64>,
     /// Old-member indices whose pair with the new member needs an exact
     /// scan.
     pub survivors: Vec<usize>,
@@ -464,8 +430,7 @@ pub(crate) struct NewPairPlan {
 /// (which scans the survivors) and the registry's dataset-loading decision
 /// consume the plan, so the two can never drift apart.
 ///
-/// With [`MatrixParams::triangle`] set — and a metric bound and a base
-/// matrix that carries bounds — the new pairs are decided *sequentially in
+/// With [`MatrixParams::triangle`] set and a metric bound, the new pairs are decided *sequentially in
 /// member order*: every pair whose bound was already evaluated serves as
 /// an anchor `j`, and a later pair `(i, last)` is pruned when
 /// `min_j (δ*(i,j) + δ*(j,last)) ≤ threshold` or scanned when
@@ -481,17 +446,10 @@ pub(crate) fn plan_new_pairs<F: ModelFamily>(
     let last = models.len() - 1;
     debug_assert_eq!(base.len(), last);
     debug_assert_eq!(params.top, None);
-    if !F::HAS_BOUND {
-        return NewPairPlan {
-            bounds: None,
-            survivors: (0..last).collect(),
-            skipped: 0,
-        };
-    }
     let dominated: Vec<bool> = (0..last)
         .map(|i| F::bound_dominates(params.diff, &models[i], &models[last]))
         .collect();
-    if params.triangle && F::BOUND_IS_METRIC && base.has_bounds() {
+    if params.triangle && F::BOUND_IS_METRIC {
         let mut bounds = vec![f64::NAN; last];
         let mut survivors = Vec::new();
         let mut anchors: Vec<usize> = Vec::new();
@@ -521,8 +479,7 @@ pub(crate) fn plan_new_pairs<F: ModelFamily>(
                     continue;
                 }
             }
-            let b = F::upper_bound(&models[i], &models[last], params.agg)
-                .expect("HAS_BOUND families always bound");
+            let b = F::upper_bound(&models[i], &models[last], params.agg);
             bounds[i] = b;
             anchors.push(i);
             if !dominated[i] || !prunable(b, params.threshold) {
@@ -530,20 +487,19 @@ pub(crate) fn plan_new_pairs<F: ModelFamily>(
             }
         }
         return NewPairPlan {
-            bounds: Some(bounds),
+            bounds,
             survivors,
             skipped,
         };
     }
     let bounds = map_indices(params.par, last, |i| {
         F::upper_bound(&models[i], &models[last], params.agg)
-            .expect("HAS_BOUND families always bound")
     });
     let survivors = (0..last)
         .filter(|&i| !dominated[i] || !prunable(bounds[i], params.threshold))
         .collect();
     NewPairPlan {
-        bounds: Some(bounds),
+        bounds,
         survivors,
         skipped: 0,
     }
@@ -576,7 +532,8 @@ pub(crate) fn extend_matrix<F: ModelFamily>(
     let sources = &sources;
     let exact_vals = map_indices(params.par, survivors.len(), |s| {
         let i = survivors[s];
-        deviate_sources_par::<F>(
+        deviate_over::<F>(
+            F::gcr(&models[i], &models[last]),
             &models[i],
             &sources[i],
             &models[last],
@@ -599,18 +556,11 @@ pub(crate) fn extend_matrix<F: ModelFamily>(
         }
         dst
     };
-    let bounds = match (&base.bounds, &plan.bounds) {
-        (Some(ob), Some(nb)) => {
-            let mut bounds = copy_block(ob, 0.0);
-            for (i, &b) in nb.iter().enumerate() {
-                bounds[i * n + last] = b;
-                bounds[last * n + i] = b;
-            }
-            Some(bounds)
-        }
-        (None, None) => None,
-        _ => unreachable!("bound presence is a family constant"),
-    };
+    let mut bounds = copy_block(&base.bounds, 0.0);
+    for (i, &b) in plan.bounds.iter().enumerate() {
+        bounds[i * n + last] = b;
+        bounds[last * n + i] = b;
+    }
     let mut exact = copy_block(&base.exact, f64::NAN);
     for (s, &i) in survivors.iter().enumerate() {
         exact[i * n + last] = exact_vals[s];
@@ -676,13 +626,6 @@ impl DeviationMatrix {
         self.n_pairs() - self.scanned
     }
 
-    /// True when the matrix carries model-only δ* bounds (the family
-    /// defines one — every built-in family today). Boundless matrices are
-    /// always complete: every pair was scanned.
-    pub fn has_bounds(&self) -> bool {
-        self.bounds.is_some()
-    }
-
     /// True when the family's δ* is a pseudo-metric (lits, dt): the bound
     /// grid is a valid distance matrix for embedding and incremental
     /// extension may use triangle pruning. False for cluster matrices —
@@ -698,14 +641,10 @@ impl DeviationMatrix {
         self.bound_skips
     }
 
-    /// The δ* upper bound for a pair (`0` on the diagonal); NaN when the
-    /// family defines no bound (see [`DeviationMatrix::has_bounds`]) or
-    /// when triangle pruning decided the pair without evaluating it.
+    /// The δ* upper bound for a pair (`0` on the diagonal); NaN when
+    /// triangle pruning decided the pair without evaluating it.
     pub fn bound(&self, i: usize, j: usize) -> f64 {
-        match &self.bounds {
-            Some(b) => b[i * self.n + j],
-            None => f64::NAN,
-        }
+        self.bounds[i * self.n + j]
     }
 
     /// The exact deviation for a pair, if its scan survived screening.
@@ -726,8 +665,7 @@ impl DeviationMatrix {
 
     /// The collection as a [`DistanceMatrix`]: the δ* bounds where they
     /// form a metric (Theorem 4.2 (2–3) — lits, dt), else the exact
-    /// deviations (cluster's non-metric bound must never feed MDS;
-    /// boundless matrices have exact values in full).
+    /// deviations (cluster's non-metric bound must never feed MDS).
     ///
     /// Errors with [`MatrixError::MissingCell`] when a required cell is
     /// unavailable — a triangle-skipped bound on the metric path, or a
@@ -781,9 +719,9 @@ impl DeviationMatrix {
 mod tests {
     use super::*;
     use crate::testutil::random_dataset;
-    use focus_core::data::{LabeledTable, Schema, Table, Value};
-    use focus_core::family::{ClusterFamily, DtFamily};
-    use focus_core::model::{induce_dt_measures, ClusterModel, DtModel};
+    use focus_core::data::{LabeledTable, Schema, Table, TransactionSet, Value};
+    use focus_core::family::{ClusterFamily, DtFamily, LitsFamily};
+    use focus_core::model::{induce_dt_measures, ClusterModel, DtModel, LitsModel};
     use focus_core::region::BoxBuilder;
     use focus_mining::{Apriori, AprioriParams};
     use std::sync::Arc;
@@ -805,13 +743,26 @@ mod tests {
         (models, datasets, names)
     }
 
+    /// The lits matrix at default parameters except `threshold`.
+    fn lits_matrix(
+        models: &[LitsModel],
+        datasets: &[TransactionSet],
+        names: Vec<String>,
+        threshold: f64,
+    ) -> Result<DeviationMatrix, MatrixError> {
+        let params = MatrixParams {
+            threshold,
+            ..MatrixParams::default()
+        };
+        deviation_matrix::<LitsFamily>(models, datasets, names, &params)
+    }
+
     #[test]
     fn screening_is_sound_and_complete() {
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.1), (3, 0.9), (4, 1.0)]);
-        let full = deviation_matrix(&models, &datasets, names.clone(), 0.0).unwrap();
+        let full = lits_matrix(&models, &datasets, names.clone(), 0.0).unwrap();
         assert_eq!(full.scanned(), 6);
         assert_eq!(full.pruned(), 0);
-        assert!(full.has_bounds());
 
         // Pick a threshold strictly inside the observed bound range so the
         // screen genuinely splits the pairs.
@@ -821,7 +772,7 @@ mod tests {
             .collect();
         bs.sort_by(f64::total_cmp);
         let threshold = (bs[2] + bs[3]) / 2.0;
-        let screened = deviation_matrix(&models, &datasets, names, threshold).unwrap();
+        let screened = lits_matrix(&models, &datasets, names, threshold).unwrap();
         assert!(screened.pruned() > 0 && screened.scanned() > 0);
         for i in 0..4 {
             for j in (i + 1)..4 {
@@ -845,7 +796,7 @@ mod tests {
     #[test]
     fn infinite_threshold_prunes_everything() {
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.5), (3, 1.0)]);
-        let m = deviation_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
+        let m = lits_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
         assert_eq!(m.scanned(), 0);
         assert_eq!(m.pruned(), 3);
         // `value` falls back to the bound for pruned pairs.
@@ -856,7 +807,7 @@ mod tests {
     fn nan_and_negative_thresholds_are_named_errors() {
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 1.0)]);
         for bad in [f64::NAN, -1.0, f64::NEG_INFINITY] {
-            let err = deviation_matrix(&models, &datasets, names.clone(), bad).unwrap_err();
+            let err = lits_matrix(&models, &datasets, names.clone(), bad).unwrap_err();
             // (No `assert_eq!` against the NaN case: the payload would
             // compare NaN ≠ NaN.)
             assert!(
@@ -870,8 +821,8 @@ mod tests {
     #[test]
     fn top_k_scans_the_k_largest_bounds() {
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.1), (3, 0.9), (4, 1.0)]);
-        let full = deviation_matrix(&models, &datasets, names.clone(), 0.0).unwrap();
-        let topped = deviation_matrix_par::<LitsFamily>(
+        let full = lits_matrix(&models, &datasets, names.clone(), 0.0).unwrap();
+        let topped = deviation_matrix::<LitsFamily>(
             &models,
             &datasets,
             names,
@@ -916,7 +867,7 @@ mod tests {
             .mine(d)
         };
         let models = vec![mine(&datasets[0], 0.6), mine(&datasets[1], 0.01)];
-        let m = deviation_matrix_par::<LitsFamily>(
+        let m = deviation_matrix::<LitsFamily>(
             &models,
             &datasets,
             vec!["hi".into(), "lo".into()],
@@ -934,7 +885,7 @@ mod tests {
     #[test]
     fn matrix_is_symmetric_with_zero_diagonal() {
         let (models, datasets, names) = collection(&[(1, 0.0), (5, 0.4), (9, 0.8)]);
-        let m = deviation_matrix(&models, &datasets, names, 0.0).unwrap();
+        let m = lits_matrix(&models, &datasets, names, 0.0).unwrap();
         for i in 0..3 {
             assert_eq!(m.bound(i, i), 0.0);
             assert_eq!(m.exact(i, i), None);
@@ -949,7 +900,7 @@ mod tests {
     fn embedding_places_similar_snapshots_closer() {
         // Two tight groups; the δ* embedding must separate them.
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.0), (3, 1.0), (4, 1.0)]);
-        let m = deviation_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
+        let m = lits_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
         let coords = m.embed(2).unwrap();
         let dist = |a: usize, b: usize| {
             coords[a]
@@ -966,7 +917,7 @@ mod tests {
     #[test]
     fn embed_rejects_too_many_dimensions() {
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.5), (3, 1.0)]);
-        let m = deviation_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
+        let m = lits_matrix(&models, &datasets, names, f64::INFINITY).unwrap();
         assert_eq!(
             m.embed(3).unwrap_err(),
             MatrixError::EmbedDims { k: 3, n: 3 }
@@ -980,11 +931,11 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_collections() {
-        let m = deviation_matrix(&[], &[], Vec::new(), 0.0).unwrap();
+        let m = lits_matrix(&[], &[], Vec::new(), 0.0).unwrap();
         assert_eq!(m.n_pairs(), 0);
         assert!(m.is_empty());
         let (models, datasets, names) = collection(&[(1, 0.0)]);
-        let m = deviation_matrix(&models, &datasets, names, 0.0).unwrap();
+        let m = lits_matrix(&models, &datasets, names, 0.0).unwrap();
         assert_eq!((m.n_pairs(), m.scanned(), m.pruned()), (0, 0, 0));
         // A single point spans zero dimensions: embedding is an error, not
         // a junk coordinate row.
@@ -995,13 +946,11 @@ mod tests {
     fn screened_members_marks_only_surviving_pairs() {
         let (models, _, _) = collection(&[(1, 0.0), (2, 0.0), (3, 1.0)]);
         let bounds = pair_bounds::<LitsFamily>(&models, AggFn::Sum, Parallelism::Sequential);
-        assert!(bounds.is_some());
-        let all =
-            screened_members::<LitsFamily>(&models, bounds.as_deref(), &MatrixParams::default());
+        let all = screened_members::<LitsFamily>(&models, &bounds, &MatrixParams::default());
         assert_eq!(all, vec![true, true, true]);
         let none = screened_members::<LitsFamily>(
             &models,
-            bounds.as_deref(),
+            &bounds,
             &MatrixParams {
                 threshold: f64::INFINITY,
                 ..MatrixParams::default()
@@ -1028,7 +977,7 @@ mod tests {
         };
         let models = vec![mine(&datasets[0], 0.6), mine(&datasets[1], 0.01)];
         let names = vec!["hi-ms".to_string(), "lo-ms".to_string()];
-        let m = deviation_matrix_par::<LitsFamily>(
+        let m = deviation_matrix::<LitsFamily>(
             &models,
             &datasets,
             names,
@@ -1043,7 +992,7 @@ mod tests {
         assert!(m.exact(0, 1).is_some());
         // Same-minsup control: the screen works again.
         let models = vec![mine(&datasets[0], 0.2), mine(&datasets[1], 0.2)];
-        let m = deviation_matrix_par::<LitsFamily>(
+        let m = deviation_matrix::<LitsFamily>(
             &models,
             &datasets,
             vec!["a".to_string(), "b".to_string()],
@@ -1063,7 +1012,7 @@ mod tests {
         // does not dominate, so even an infinite threshold must not prune
         // — every pair gets its exact scan.
         let (models, datasets, names) = collection(&[(1, 0.0), (2, 0.0), (3, 1.0)]);
-        let m = deviation_matrix_par::<LitsFamily>(
+        let m = deviation_matrix::<LitsFamily>(
             &models,
             &datasets,
             names,
@@ -1116,7 +1065,7 @@ mod tests {
     #[test]
     fn dt_family_matrix_screens_on_the_leaf_mass_bound() {
         let (models, datasets, names) = dt_collection();
-        let full = deviation_matrix_par::<DtFamily>(
+        let full = deviation_matrix::<DtFamily>(
             &models,
             &datasets,
             names.clone(),
@@ -1126,7 +1075,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(full.has_bounds());
         assert!(full.metric());
         // Shared-structure pair: small bound. Structurally different
         // pairs: the bound charges both trees' full mass (2.0).
@@ -1139,7 +1087,7 @@ mod tests {
         }
         // A threshold between the two regimes prunes exactly the similar
         // pair; surviving cells are bit-identical to the full scan.
-        let screened = deviation_matrix_par::<DtFamily>(
+        let screened = deviation_matrix::<DtFamily>(
             &models,
             &datasets,
             names,
@@ -1209,7 +1157,7 @@ mod tests {
     #[test]
     fn cluster_family_matrix_screens_but_never_embeds_bounds() {
         let (models, datasets, names) = cluster_collection();
-        let full = deviation_matrix_par::<ClusterFamily>(
+        let full = deviation_matrix::<ClusterFamily>(
             &models,
             &datasets,
             names.clone(),
@@ -1219,7 +1167,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(full.has_bounds());
         assert!(!full.metric(), "cluster δ* is not a metric");
         for i in 0..3 {
             for j in (i + 1)..3 {
@@ -1230,7 +1177,7 @@ mod tests {
         // a threshold above it prunes that pair and keeps the rest.
         let cut = full.bound(0, 1);
         assert!(cut < full.bound(0, 2), "{cut} vs {}", full.bound(0, 2));
-        let screened = deviation_matrix_par::<ClusterFamily>(
+        let screened = deviation_matrix::<ClusterFamily>(
             &models,
             &datasets,
             names,
@@ -1273,7 +1220,7 @@ mod tests {
             (5, 0.0),
             (6, 0.02),
         ]);
-        let probe = deviation_matrix(&models, &datasets, names.clone(), f64::INFINITY).unwrap();
+        let probe = lits_matrix(&models, &datasets, names.clone(), f64::INFINITY).unwrap();
         let probe = &probe;
         let mut bs: Vec<f64> = (0..6)
             .flat_map(|i| ((i + 1)..6).map(move |j| probe.bound(i, j)))
@@ -1284,7 +1231,7 @@ mod tests {
             par: Parallelism::Sequential,
             ..MatrixParams::default()
         };
-        let base = deviation_matrix_par::<LitsFamily>(
+        let base = deviation_matrix::<LitsFamily>(
             &models[..5],
             &datasets[..5],
             names[..5].to_vec(),
@@ -1305,7 +1252,7 @@ mod tests {
         assert_eq!(plain.skipped, 0);
         assert!(tri.skipped > 0, "triangle pruning must skip some bounds");
         // Where the triangle plan did evaluate, it got the same bound.
-        let (pb, tb) = (plain.bounds.unwrap(), tri.bounds.unwrap());
+        let (pb, tb) = (plain.bounds, tri.bounds);
         let mut skipped_seen = 0;
         for i in 0..5 {
             if tb[i].is_nan() {

@@ -758,7 +758,7 @@ impl Registry {
         // two never touches), and hand the bounds to the engine so the
         // sweep is not paid twice.
         let bounds = crate::matrix::pair_bounds::<F>(&models, params.agg, params.par);
-        let needed = crate::matrix::screened_members::<F>(&models, bounds.as_deref(), params);
+        let needed = crate::matrix::screened_members::<F>(&models, &bounds, params);
         let mut datasets = Vec::with_capacity(entries.len());
         for (entry, needed) in entries.iter().zip(&needed) {
             datasets.push(if *needed {
@@ -911,11 +911,13 @@ mod tests {
 
     #[test]
     fn nan_support_in_a_model_file_fails_screening_closed() {
-        // The text lits-model reader accepts a `nan` support, which makes
-        // every δ* bound against that model NaN. A NaN bound certifies
-        // nothing, so screening must plan those pairs for an exact scan
-        // rather than prune them: under a threshold, under `--top`, and
-        // when the model joins an existing matrix (triangle on or off).
+        // A `nan` support written into a text model file is rejected at
+        // load, so the matrix run fails instead of screening on it. A NaN
+        // bound that reaches the screen anyway (a model built in memory)
+        // certifies nothing, so screening must plan those pairs for an
+        // exact scan rather than prune them: under a threshold, under
+        // `--top`, and when the model joins an existing matrix (triangle
+        // on or off).
         let dir = scratch("nan-bound");
         let mut reg = Registry::open_or_create(&dir).unwrap();
         let cut = MatrixParams {
@@ -928,14 +930,20 @@ mod tests {
         let base = reg.matrix(&cut).unwrap();
         assert_eq!(base.scanned(), 0, "finite bounds under the cut all prune");
         reg.add("c", &random_dataset(3, 200, 0.0), 0.1).unwrap();
+        let mut models = reg.load_models().unwrap();
         let path = dir.join("c.lits");
         let text = std::fs::read_to_string(&path).unwrap();
         let (head, tail) = text.split_once(" | ").expect("an itemset line");
         let rest = tail.split_once('\n').expect("a line break").1;
         std::fs::write(&path, format!("{head} | nan\n{rest}")).unwrap();
+        let err = reg.load_models().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(reg.matrix(&cut).is_err(), "a corrupt model fails the run");
 
-        let models = reg.load_models().unwrap();
-        assert!(models[2].supports()[0].is_nan());
+        let c = models[2].clone();
+        let mut supports = c.supports().to_vec();
+        supports[0] = f64::NAN;
+        models[2] = LitsModel::new(c.itemsets().to_vec(), supports, c.minsup(), 200);
         let bounds = crate::matrix::pair_bounds::<LitsFamily>(&models, cut.agg, cut.par);
         let top = MatrixParams {
             top: Some(0),
@@ -944,7 +952,7 @@ mod tests {
         for params in [&cut, &top] {
             // Every member pairs with `c`, so every dataset is needed.
             assert_eq!(
-                crate::matrix::screened_members::<LitsFamily>(&models, bounds.as_deref(), params),
+                crate::matrix::screened_members::<LitsFamily>(&models, &bounds, params),
                 vec![true; 3],
                 "top = {:?}",
                 params.top
@@ -1102,7 +1110,6 @@ mod tests {
                 ..MatrixParams::default()
             })
             .unwrap();
-        assert!(full.has_bounds());
         assert_eq!((full.n_pairs(), full.pruned()), (3, 0));
 
         // Threshold 2.5 prunes every pair: (a, b)'s bound is tiny and the

@@ -8,15 +8,16 @@
 //! replicate, and read off where the observed value falls in that null
 //! distribution. The same engine estimates the exact null distribution of
 //! the chi-squared statistic when the textbook applicability conditions fail
-//! (Section 5.2.2).
+//! (Section 5.2.2), and calibrates drift-monitor thresholds.
 //!
-//! The engine is generic over the element type and the statistic, so the
-//! identical code path serves lits-models (elements = transactions),
-//! dt-models (elements = labelled tuples) and raw numeric statistics.
+//! [`replicates`] is the one resample-and-evaluate loop: the caller's draw
+//! closure resamples (indices, so rows are never cloned) and evaluates one
+//! replicate from a per-replicate RNG. [`BootstrapResult::new`] turns the
+//! replicate values into the significance the paper reports.
 
 use focus_exec::{derive_seed, map_indices, Parallelism};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Outcome of a bootstrap significance computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +35,26 @@ pub struct BootstrapResult {
 }
 
 impl BootstrapResult {
+    /// Situates `observed` in the null distribution `null` (the replicate
+    /// values [`replicates`] returned) and sorts the distribution
+    /// ascending.
+    ///
+    /// # Panics
+    ///
+    /// If `null` holds a NaN, which [`replicates`] never returns.
+    pub fn new(observed: f64, mut null: Vec<f64>) -> Self {
+        let significance_percent = significance_percent(observed, &null);
+        null.sort_by(|a, b| {
+            a.partial_cmp(b)
+                .expect("NaN in a bootstrap null distribution")
+        });
+        Self {
+            observed,
+            null_distribution: null,
+            significance_percent,
+        }
+    }
+
     /// True if the observed deviation is significant at level `alpha`
     /// (e.g. `0.05` for 95%).
     pub fn is_significant(&self, alpha: f64) -> bool {
@@ -41,59 +62,35 @@ impl BootstrapResult {
     }
 }
 
-/// Draws `reps` bootstrap replicates of a two-sample statistic under the
-/// null hypothesis that both samples come from the pooled distribution,
-/// at the process-wide default parallelism.
+/// Runs `reps` bootstrap replicates, fanned out over `par` worker threads,
+/// and returns their values in replicate order.
 ///
-/// For each replicate, two pseudo-samples of sizes `n1` and `n2` are drawn
-/// with replacement from `pool`, and `stat` is evaluated on them.
-pub fn bootstrap_two_sample<T, F>(
-    pool: &[T],
-    n1: usize,
-    n2: usize,
-    reps: usize,
-    seed: u64,
-    stat: F,
-) -> Vec<f64>
-where
-    T: Clone + Sync,
-    F: Fn(&[T], &[T]) -> f64 + Sync,
-{
-    bootstrap_two_sample_par(pool, n1, n2, reps, seed, Parallelism::Global, stat)
-}
-
-/// [`bootstrap_two_sample`] with an explicit [`Parallelism`] for the
-/// per-replicate fan-out.
+/// Replicate `i` hands `draw` its own `StdRng`, seeded from
+/// `derive_seed(seed, i)`: its random draws depend only on `(seed, i)` —
+/// never on the thread count — so the returned vector is bit-identical
+/// whether it was computed on one thread or many.
 ///
-/// Replicate `i` seeds its own `StdRng` from `derive_seed(seed, i)`, so
-/// replicate `i`'s random draws depend only on `(seed, i)` — never on the
-/// thread count — and the returned vector (in replicate order) is
-/// bit-identical whether it was computed on one thread or many.
-pub fn bootstrap_two_sample_par<T, F>(
-    pool: &[T],
-    n1: usize,
-    n2: usize,
-    reps: usize,
-    seed: u64,
-    par: Parallelism,
-    stat: F,
-) -> Vec<f64>
+/// # Panics
+///
+/// If a replicate evaluates to NaN. The panic names the first such
+/// replicate and its derived seed, so the failing resample can be
+/// reproduced; a NaN would otherwise make the null distribution
+/// unorderable.
+pub fn replicates<F>(reps: usize, seed: u64, par: Parallelism, draw: F) -> Vec<f64>
 where
-    T: Clone + Sync,
-    F: Fn(&[T], &[T]) -> f64 + Sync,
+    F: Fn(&mut StdRng) -> f64 + Sync,
 {
-    assert!(!pool.is_empty(), "bootstrap pool must be non-empty");
-    assert!(n1 > 0 && n2 > 0, "resample sizes must be positive");
-    map_indices(par, reps, |rep| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, rep as u64));
-        let s1: Vec<T> = (0..n1)
-            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-            .collect();
-        let s2: Vec<T> = (0..n2)
-            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-            .collect();
-        stat(&s1, &s2)
-    })
+    let null = map_indices(par, reps, |rep| {
+        draw(&mut StdRng::seed_from_u64(derive_seed(seed, rep as u64)))
+    });
+    if let Some(rep) = null.iter().position(|v| v.is_nan()) {
+        panic!(
+            "bootstrap replicate {rep} (seed {}) produced a NaN statistic; \
+             the pipeline must return finite values",
+            derive_seed(seed, rep as u64)
+        );
+    }
+    null
 }
 
 /// Computes the paper's "%sig" number: the percentage of null values that
@@ -108,47 +105,30 @@ pub fn significance_percent(observed: f64, null: &[f64]) -> f64 {
     100.0 * below as f64 / null.len() as f64
 }
 
-/// End-to-end qualification: pools the two datasets, bootstraps the null
-/// distribution of `stat`, and situates the observed value.
-///
-/// This is the direct implementation of Section 3.4: `stat` should be the
-/// full model-induction + deviation pipeline (e.g. "mine frequent itemsets
-/// from both pseudo-datasets and compute `δ(f_a, g_sum)`").
-pub fn qualify<T, F>(
-    d1: &[T],
-    d2: &[T],
-    observed: f64,
-    reps: usize,
-    seed: u64,
-    stat: F,
-) -> BootstrapResult
-where
-    T: Clone + Sync,
-    F: Fn(&[T], &[T]) -> f64 + Sync,
-{
-    let pool: Vec<T> = d1.iter().cloned().chain(d2.iter().cloned()).collect();
-    let mut null = bootstrap_two_sample(&pool, d1.len(), d2.len(), reps, seed, stat);
-    let significance = significance_percent(observed, &null);
-    null.sort_by(|a, b| a.partial_cmp(b).expect("NaN in bootstrap statistic"));
-    BootstrapResult {
-        observed,
-        null_distribution: null,
-        significance_percent: significance,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::describe::mean;
+    use rand::Rng;
+
+    /// A two-sample mean-difference replicate over a pooled grid, drawn
+    /// as index resamples.
+    fn mean_gap(pool: &[f64], n1: usize, n2: usize) -> impl Fn(&mut StdRng) -> f64 + Sync + '_ {
+        move |rng| {
+            let mut draw = |n: usize| -> Vec<f64> {
+                (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+            };
+            let (a, b) = (draw(n1), draw(n2));
+            (mean(&a) - mean(&b)).abs()
+        }
+    }
 
     #[test]
     fn null_distribution_is_deterministic_per_seed() {
         let pool: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let stat = |a: &[f64], b: &[f64]| (mean(a) - mean(b)).abs();
-        let r1 = bootstrap_two_sample(&pool, 30, 30, 50, 1, stat);
-        let r2 = bootstrap_two_sample(&pool, 30, 30, 50, 1, stat);
-        let r3 = bootstrap_two_sample(&pool, 30, 30, 50, 2, stat);
+        let r1 = replicates(50, 1, Parallelism::Global, mean_gap(&pool, 30, 30));
+        let r2 = replicates(50, 1, Parallelism::Global, mean_gap(&pool, 30, 30));
+        let r3 = replicates(50, 2, Parallelism::Global, mean_gap(&pool, 30, 30));
         assert_eq!(r1, r2);
         assert_ne!(r1, r3);
     }
@@ -158,10 +138,9 @@ mod tests {
         // The per-replicate seeding makes the null distribution (in
         // replicate order) bit-identical for every worker-thread count.
         let pool: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
-        let stat = |a: &[f64], b: &[f64]| (mean(a) - mean(b)).abs();
-        let seq = bootstrap_two_sample_par(&pool, 40, 25, 33, 9, Parallelism::Sequential, stat);
+        let seq = replicates(33, 9, Parallelism::Sequential, mean_gap(&pool, 40, 25));
         for t in [2usize, 4, 7] {
-            let par = bootstrap_two_sample_par(&pool, 40, 25, 33, 9, Parallelism::Threads(t), stat);
+            let par = replicates(33, 9, Parallelism::Threads(t), mean_gap(&pool, 40, 25));
             assert_eq!(seq, par, "threads = {t}");
         }
     }
@@ -172,9 +151,10 @@ mod tests {
         // difference should be unremarkable under the bootstrap null.
         let d1: Vec<f64> = (0..200).map(|i| (i % 20) as f64).collect();
         let d2: Vec<f64> = (0..200).map(|i| ((i + 7) % 20) as f64).collect();
-        let stat = |a: &[f64], b: &[f64]| (mean(a) - mean(b)).abs();
-        let observed = stat(&d1, &d2);
-        let r = qualify(&d1, &d2, observed, 199, 42, stat);
+        let observed = (mean(&d1) - mean(&d2)).abs();
+        let pool: Vec<f64> = d1.iter().chain(&d2).copied().collect();
+        let null = replicates(199, 42, Parallelism::Global, mean_gap(&pool, 200, 200));
+        let r = BootstrapResult::new(observed, null);
         assert!(!r.is_significant(0.05), "sig = {}", r.significance_percent);
     }
 
@@ -182,9 +162,10 @@ mod tests {
     fn shifted_process_is_significant() {
         let d1: Vec<f64> = (0..200).map(|i| (i % 20) as f64).collect();
         let d2: Vec<f64> = (0..200).map(|i| (i % 20) as f64 + 25.0).collect();
-        let stat = |a: &[f64], b: &[f64]| (mean(a) - mean(b)).abs();
-        let observed = stat(&d1, &d2);
-        let r = qualify(&d1, &d2, observed, 199, 42, stat);
+        let observed = (mean(&d1) - mean(&d2)).abs();
+        let pool: Vec<f64> = d1.iter().chain(&d2).copied().collect();
+        let null = replicates(199, 42, Parallelism::Global, mean_gap(&pool, 200, 200));
+        let r = BootstrapResult::new(observed, null);
         assert!(r.is_significant(0.01), "sig = {}", r.significance_percent);
         assert_eq!(r.significance_percent, 100.0);
     }
@@ -201,16 +182,14 @@ mod tests {
 
     #[test]
     fn null_distribution_is_sorted_in_result() {
-        let d: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let stat = |a: &[f64], b: &[f64]| mean(a) - mean(b);
-        let r = qualify(&d, &d, 0.0, 64, 3, stat);
-        assert!(r.null_distribution.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(r.null_distribution.len(), 64);
+        let r = BootstrapResult::new(2.5, vec![3.0, 1.0, 4.0, 2.0]);
+        assert_eq!(r.null_distribution, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(r.significance_percent, 50.0);
     }
 
     #[test]
-    #[should_panic(expected = "pool must be non-empty")]
-    fn empty_pool_panics() {
-        bootstrap_two_sample::<f64, _>(&[], 1, 1, 1, 0, |_, _| 0.0);
+    #[should_panic(expected = "bootstrap replicate 0 (seed")]
+    fn nan_replicate_is_named() {
+        replicates(4, 7, Parallelism::Sequential, |_| f64::NAN);
     }
 }

@@ -74,29 +74,13 @@ pub struct Candidate {
 /// Finds the best split of `rows` (indices into `data`) over all
 /// attributes. Returns `None` when no split leaves at least `min_leaf` rows
 /// on each side.
-pub fn best_split(
-    data: &LabeledTable,
-    rows: &[usize],
-    min_leaf: usize,
-    scratch_sorted: &mut Vec<usize>,
-) -> Option<Candidate> {
-    let k = data.n_classes as usize;
-    let mut best: Option<Candidate> = None;
-    for attr in 0..data.table.schema().len() {
-        let cand = eval_attr(data, rows, attr, min_leaf, k, scratch_sorted);
-        consider_in_order(&mut best, cand);
-    }
-    best
-}
-
-/// [`best_split`] with the per-attribute evaluations fanned out over `par`
-/// worker threads.
 ///
-/// Each attribute's sweep is an independent unit of work whose result is a
+/// The per-attribute evaluations fan out over `par` worker threads. Each
+/// attribute's sweep is an independent unit of work whose result is a
 /// single candidate; the candidates come back in attribute order and are
-/// folded with the same strict `<` comparison the sequential loop uses, so
-/// the chosen split — ties included — is identical for every thread count.
-pub fn best_split_par(
+/// folded with a strict `<` comparison (the earlier attribute wins ties),
+/// so the chosen split is identical for every thread count.
+pub fn best_split(
     data: &LabeledTable,
     rows: &[usize],
     min_leaf: usize,
@@ -320,7 +304,7 @@ mod tests {
             (12.0, 1),
         ]);
         let rows: Vec<usize> = (0..data.len()).collect();
-        let c = best_split(&data, &rows, 1, &mut Vec::new()).expect("split");
+        let c = best_split(&data, &rows, 1, Parallelism::Sequential).expect("split");
         match c.rule {
             SplitRule::Threshold { attr, threshold } => {
                 assert_eq!(attr, 0);
@@ -336,7 +320,7 @@ mod tests {
         let data = numeric_data(&[(1.0, 0), (2.0, 0), (3.0, 0), (10.0, 1)]);
         let rows: Vec<usize> = (0..data.len()).collect();
         // min_leaf = 2 forbids the perfect 3/1 split; the best legal split is 2/2.
-        let c = best_split(&data, &rows, 2, &mut Vec::new()).expect("split");
+        let c = best_split(&data, &rows, 2, Parallelism::Sequential).expect("split");
         match c.rule {
             SplitRule::Threshold { threshold, .. } => {
                 assert!((2.0..3.0).contains(&threshold), "t = {threshold}");
@@ -349,7 +333,7 @@ mod tests {
     fn no_split_when_constant_attribute() {
         let data = numeric_data(&[(5.0, 0), (5.0, 1), (5.0, 0)]);
         let rows: Vec<usize> = (0..data.len()).collect();
-        assert!(best_split(&data, &rows, 1, &mut Vec::new()).is_none());
+        assert!(best_split(&data, &rows, 1, Parallelism::Sequential).is_none());
     }
 
     fn categorical_data(pairs: &[(u32, u32)], card: u32) -> LabeledTable {
@@ -380,7 +364,7 @@ mod tests {
             4,
         );
         let rows: Vec<usize> = (0..data.len()).collect();
-        let c = best_split(&data, &rows, 1, &mut Vec::new()).expect("split");
+        let c = best_split(&data, &rows, 1, Parallelism::Sequential).expect("split");
         assert_eq!(c.impurity, 0.0);
         match &c.rule {
             SplitRule::Categories { mask, .. } => {
@@ -397,7 +381,7 @@ mod tests {
     fn categorical_split_single_category_cannot_split() {
         let data = categorical_data(&[(1, 0), (1, 1), (1, 0)], 4);
         let rows: Vec<usize> = (0..data.len()).collect();
-        assert!(best_split(&data, &rows, 1, &mut Vec::new()).is_none());
+        assert!(best_split(&data, &rows, 1, Parallelism::Sequential).is_none());
     }
 
     #[test]
@@ -430,7 +414,7 @@ mod tests {
             data.push_row(&[Value::Num(noise), Value::Num(signal)], (i % 2) as u32);
         }
         let rows: Vec<usize> = (0..data.len()).collect();
-        let c = best_split(&data, &rows, 1, &mut Vec::new()).expect("split");
+        let c = best_split(&data, &rows, 1, Parallelism::Sequential).expect("split");
         match c.rule {
             SplitRule::Threshold { attr, .. } => assert_eq!(attr, 1),
             _ => panic!("expected numeric split"),

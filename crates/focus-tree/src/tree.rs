@@ -1,6 +1,6 @@
 //! Tree construction, prediction, and export to FOCUS dt-models.
 
-use crate::split::{best_split, best_split_par, gini, SplitRule};
+use crate::split::{best_split, gini, SplitRule};
 use focus_core::data::{LabeledTable, Value};
 use focus_core::model::DtModel;
 use focus_core::region::{AttrConstraint, BoxRegion};
@@ -23,6 +23,10 @@ pub struct TreeParams {
     pub min_split: usize,
     /// Minimum Gini-impurity reduction for a split to be kept.
     pub min_gain: f64,
+    /// Worker threads for split search and sibling-subtree recursion
+    /// (process-wide default unless set). The fitted tree is identical
+    /// for every setting.
+    pub parallelism: Parallelism,
 }
 
 impl Default for TreeParams {
@@ -32,6 +36,7 @@ impl Default for TreeParams {
             min_leaf: 1,
             min_split: 2,
             min_gain: 1e-9,
+            parallelism: Parallelism::Global,
         }
     }
 }
@@ -58,6 +63,12 @@ impl TreeParams {
     /// Sets the minimum impurity gain.
     pub fn min_gain(mut self, g: f64) -> Self {
         self.min_gain = g;
+        self
+    }
+
+    /// Sets the worker threads for fitting.
+    pub fn parallelism(mut self, par: Parallelism) -> Self {
+        self.parallelism = par;
         self
     }
 }
@@ -88,28 +99,22 @@ pub struct DecisionTree {
 }
 
 impl DecisionTree {
-    /// Fits a tree on a labelled table at the process-wide default
-    /// parallelism (see [`DecisionTree::fit_par`]).
-    pub fn fit(data: &LabeledTable, params: TreeParams) -> Self {
-        Self::fit_par(data, params, Parallelism::Global)
-    }
-
-    /// Fits a tree with sibling subtrees recursed on `par` worker threads.
+    /// Fits a tree on a labelled table, with sibling subtrees recursed on
+    /// `params.parallelism` worker threads.
     ///
     /// Parallelism enters in two places, neither of which can change the
     /// result: the greedy split search evaluates attributes concurrently
     /// (each attribute's sweep is self-contained; candidates fold in
-    /// attribute order — see [`best_split_par`]), and after a split the two
+    /// attribute order — see [`best_split`]), and after a split the two
     /// sibling subtrees build concurrently via [`focus_exec::join`], each
     /// fork halving the remaining thread budget. Subtrees assemble in
     /// left-before-right preorder, reproducing the sequential node layout
     /// exactly, so the fitted tree is **bit-identical** for every thread
     /// count.
-    pub fn fit_par(data: &LabeledTable, params: TreeParams, par: Parallelism) -> Self {
+    pub fn fit(data: &LabeledTable, params: TreeParams) -> Self {
         assert!(!data.is_empty(), "cannot fit a tree on an empty dataset");
         let rows: Vec<usize> = (0..data.len()).collect();
-        let mut scratch = Vec::new();
-        let nodes = build_subtree(data, rows, 0, &params, par.threads(), &mut scratch);
+        let nodes = build_subtree(data, rows, 0, &params, params.parallelism.threads());
         Self {
             nodes,
             n_classes: data.n_classes,
@@ -224,7 +229,6 @@ fn build_subtree(
     depth: usize,
     params: &TreeParams,
     budget: usize,
-    scratch: &mut Vec<usize>,
 ) -> Vec<Node> {
     let k = data.n_classes as usize;
     let mut counts = vec![0u64; k];
@@ -245,12 +249,12 @@ fn build_subtree(
     if pure || depth >= params.max_depth || rows.len() < params.min_split {
         return make_leaf(counts);
     }
-    let cand = if budget >= 2 && rows.len() >= PAR_SUBTREE_MIN_ROWS {
-        best_split_par(data, &rows, params.min_leaf, Parallelism::Threads(budget))
+    let par = if budget >= 2 && rows.len() >= PAR_SUBTREE_MIN_ROWS {
+        Parallelism::Threads(budget)
     } else {
-        best_split(data, &rows, params.min_leaf, scratch)
+        Parallelism::Sequential
     };
-    let Some(cand) = cand else {
+    let Some(cand) = best_split(data, &rows, params.min_leaf, par) else {
         return make_leaf(counts);
     };
     if gini(&counts) - cand.impurity < params.min_gain {
@@ -274,13 +278,13 @@ fn build_subtree(
             let (lb, rb) = (budget.div_ceil(2), budget / 2);
             focus_exec::join(
                 Parallelism::Threads(budget),
-                move || build_subtree(data, rows, depth + 1, params, lb, &mut Vec::new()),
-                move || build_subtree(data, right_rows, depth + 1, params, rb, &mut Vec::new()),
+                move || build_subtree(data, rows, depth + 1, params, lb),
+                move || build_subtree(data, right_rows, depth + 1, params, rb),
             )
         } else {
             (
-                build_subtree(data, rows, depth + 1, params, budget, scratch),
-                build_subtree(data, right_rows, depth + 1, params, budget, scratch),
+                build_subtree(data, rows, depth + 1, params, budget),
+                build_subtree(data, right_rows, depth + 1, params, budget),
             )
         };
 
@@ -466,7 +470,7 @@ mod tests {
         let model = tree.to_model();
         // Re-derive the measures by scanning the training data over the
         // exported partition; they must agree with the model's own.
-        let counts = count_partition(&data, model.leaves(), 2);
+        let counts = count_partition(&data, model.leaves(), 2, Parallelism::Global);
         let n = data.len() as f64;
         for (i, &c) in counts.iter().enumerate() {
             assert!(

@@ -136,7 +136,7 @@ fn main() {
     println!("\nafter drift (labels/shape now follow F4):");
     let d_new = ClassifyGen::new(ClassifyFn::F4).generate(20_000, 2);
     let model_new = fit(&d_new);
-    let deviation = dt_deviation(
+    let deviation = deviate::<DtFamily>(
         &synopsis,
         &d_old,
         &model_new,

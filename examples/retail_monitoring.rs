@@ -42,7 +42,7 @@ fn main() {
     }
 
     // --- Exact deviation for the flagged pair ---------------------------
-    let dev12 = lits_deviation(
+    let dev12 = deviate::<LitsFamily>(
         &models[0],
         &stores[0].1,
         &models[1],
@@ -50,7 +50,7 @@ fn main() {
         DiffFn::Absolute,
         AggFn::Sum,
     );
-    let dev14 = lits_deviation(
+    let dev14 = deviate::<LitsFamily>(
         &models[0],
         &stores[0].1,
         &models[3],
@@ -91,7 +91,7 @@ fn main() {
 
     // --- Focussed deviation: one department (items 0..20) ---------------
     let department: Vec<u32> = (0..20).collect();
-    let focussed = lits_deviation_focussed(
+    let focussed = deviate_focussed::<LitsFamily>(
         &models[0],
         &stores[0].1,
         &models[3],
@@ -99,6 +99,7 @@ fn main() {
         &department,
         DiffFn::Absolute,
         AggFn::Sum,
+        Parallelism::Global,
     );
     println!(
         "focussed δ on department items 0..20: {:.3} over {} regions (total {:.3})",

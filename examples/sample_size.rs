@@ -40,7 +40,7 @@ fn main() {
             .map(|s| {
                 let sample = data.sample_fraction(sf, 1000 + (i * 100 + s) as u64);
                 let m = fit(&sample);
-                dt_deviation(
+                deviate::<DtFamily>(
                     &full_model,
                     &data,
                     &m,

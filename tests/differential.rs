@@ -5,7 +5,7 @@
 //!
 //! 1. **naive subset counting** — the textbook double loop, written out
 //!    here from scratch so it shares no code with any backend;
-//! 2. the **horizontal scan** ([`count_itemsets_par`]) — per-transaction
+//! 2. the **horizontal scan** ([`count_itemsets`]) — per-transaction
 //!    bitmap containment, the arm the cost model picks for small
 //!    workloads;
 //! 3. the **grouped tid-bitset index** ([`VerticalIndex`] counted through
@@ -105,9 +105,9 @@ proptest! {
                 .iter()
                 .map(|c| Itemset::from_slice(c))
                 .collect();
-            let horizontal = count_itemsets_par(&data, &itemsets, Parallelism::Global);
+            let horizontal = count_itemsets(&data, &itemsets, Parallelism::Global);
             prop_assert_eq!(&horizontal, &naive, "horizontal scan vs naive at level {}", k);
-            let grouped = count_itemsets_grouped(&vindex, &itemsets);
+            let grouped = count_itemsets_grouped(&vindex, &itemsets, Parallelism::Global);
             prop_assert_eq!(&grouped, &naive, "grouped index vs naive at level {}", k);
             // …and vs the horizontal scan, so the index is pinned against
             // a second independent witness rather than one anchor.
@@ -180,7 +180,7 @@ proptest! {
         prop_assert_eq!(&auto.counts(model.itemsets(), Parallelism::Global), &reference,
                         "auto vs forced horizontal");
         prop_assert_eq!(
-            &count_itemsets_grouped_par(
+            &count_itemsets_grouped(
                 &VerticalIndex::build(&data),
                 model.itemsets(),
                 Parallelism::Global,

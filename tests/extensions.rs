@@ -50,7 +50,7 @@ fn birch_and_kmeans_cluster_models_agree_on_deviation_ordering() {
             }
         };
         let m1 = model(&d1, 1);
-        let dev_same = cluster_deviation(
+        let dev_same = deviate::<ClusterFamily>(
             &m1,
             &d1,
             &model(&d_same, 2),
@@ -59,7 +59,7 @@ fn birch_and_kmeans_cluster_models_agree_on_deviation_ordering() {
             AggFn::Sum,
         )
         .value;
-        let dev_moved = cluster_deviation(
+        let dev_moved = deviate::<ClusterFamily>(
             &m1,
             &d1,
             &model(&d_moved, 3),
@@ -109,8 +109,9 @@ fn index_counts_match_bitmap_counter_end_to_end() {
     if pairs.is_empty() {
         panic!("workload produced no frequent pairs — weak test setup");
     }
-    let index_counts = count_itemsets_grouped(&VerticalIndex::build(&data), &pairs);
-    let bitmap_counts = count_itemsets(&data, &pairs);
+    let index_counts =
+        count_itemsets_grouped(&VerticalIndex::build(&data), &pairs, Parallelism::Global);
+    let bitmap_counts = count_itemsets(&data, &pairs, Parallelism::Global);
     assert_eq!(index_counts, bitmap_counts);
 }
 
@@ -147,12 +148,12 @@ fn dt_model_persistence_preserves_deviation() {
     let m1 = fit(&d1);
     let m2 = fit(&d2);
     let schema = d1.table.schema();
-    let before = dt_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
+    let before = deviate::<DtFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
 
     let mut buf = Vec::new();
     write_dt_model(&m1, schema, &mut buf).unwrap();
     let (m1_back, _) = read_dt_model(buf.as_slice()).unwrap();
-    let after = dt_deviation(&m1_back, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
+    let after = deviate::<DtFamily>(&m1_back, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
     assert_eq!(before, after);
 }
 
@@ -171,7 +172,7 @@ fn label_noise_increases_dt_deviation_monotonically() {
     for noise in [0.0, 0.1, 0.3] {
         let noisy = drift::flip_labels(&base, noise, 7);
         let m_noisy = fit(&noisy);
-        let dev = dt_deviation(
+        let dev = deviate::<DtFamily>(
             &m_base,
             &base,
             &m_noisy,
@@ -208,11 +209,11 @@ fn item_permutation_preserves_magnitude_but_moves_structure() {
     let miner = Apriori::new(AprioriParams::with_minsup(0.03).min_count_floor(3));
     let m1 = miner.mine(&d);
     let m2 = miner.mine(&permuted);
-    let dev = lits_deviation(&m1, &d, &m2, &permuted, DiffFn::Absolute, AggFn::Sum).value;
+    let dev = deviate::<LitsFamily>(&m1, &d, &m2, &permuted, DiffFn::Absolute, AggFn::Sum).value;
     let dev_same = {
         let d2 = gen.generate(2500, 2);
         let m_same = miner.mine(&d2);
-        lits_deviation(&m1, &d, &m_same, &d2, DiffFn::Absolute, AggFn::Sum).value
+        deviate::<LitsFamily>(&m1, &d, &m_same, &d2, DiffFn::Absolute, AggFn::Sum).value
     };
     assert!(
         dev > 2.0 * dev_same,
@@ -243,7 +244,7 @@ fn dilute_item_is_a_focussed_change() {
     let miner = Apriori::new(AprioriParams::with_minsup(0.02).min_count_floor(3));
     let m1 = miner.mine(&d);
     let m2 = miner.mine(&diluted);
-    let dev_target = lits_deviation_focussed(
+    let dev_target = deviate_focussed::<LitsFamily>(
         &m1,
         &d,
         &m2,
@@ -251,9 +252,10 @@ fn dilute_item_is_a_focussed_change() {
         &[target],
         DiffFn::Absolute,
         AggFn::Sum,
+        Parallelism::Global,
     )
     .value;
-    let dev_other = lits_deviation_focussed(
+    let dev_other = deviate_focussed::<LitsFamily>(
         &m1,
         &d,
         &m2,
@@ -261,6 +263,7 @@ fn dilute_item_is_a_focussed_change() {
         &[other],
         DiffFn::Absolute,
         AggFn::Sum,
+        Parallelism::Global,
     )
     .value;
     assert!(

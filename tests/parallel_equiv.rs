@@ -8,7 +8,8 @@
 //! decision-tree induction,
 //! k-means Lloyd iterations, monitor
 //! calibration, per-region `f`/`g` aggregation, and the bootstrap
-//! qualification fan-out — must produce **bit-identical** results for any
+//! qualification fan-out over transactions and labelled tables — must
+//! produce **bit-identical** results for any
 //! worker-thread count. Floating-point results are compared via their
 //! IEEE-754 bit patterns, not a tolerance: the engine's chunk
 //! decomposition, deterministic merge order, and per-replicate seeding
@@ -18,8 +19,8 @@ use focus::cluster::{KMeans, KMeansParams};
 use focus::core::prelude::*;
 use focus::exec::Parallelism;
 use focus::mining::{Apriori, AprioriParams};
-use focus::registry::{deviation_matrix_par, MatrixParams};
-use focus::stats::bootstrap_two_sample_par;
+use focus::registry::{deviation_matrix, MatrixParams};
+use focus::stats::replicates;
 use focus::tree::{DecisionTree, TreeParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,6 +41,28 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
             "{what}[{i}]: {x} vs {y} differ in bits"
         );
     }
+}
+
+/// `δ(f,g)` over the GCR of `m1` and `m2` on `par` worker threads: the
+/// engine behind [`deviate`], with an explicit thread count.
+fn deviate_at<F: ModelFamily>(
+    m1: &F::Model,
+    d1: &F::Dataset,
+    m2: &F::Model,
+    d2: &F::Dataset,
+    par: Parallelism,
+) -> FamilyDeviation<F> {
+    let (s1, s2) = (F::source(d1), F::source(d2));
+    deviate_over::<F>(
+        F::gcr(m1, m2),
+        m1,
+        &s1,
+        m2,
+        &s2,
+        DiffFn::Absolute,
+        AggFn::Sum,
+        par,
+    )
 }
 
 /// A random transaction dataset, deterministic in its parameters.
@@ -106,10 +129,7 @@ proptest! {
 
         let m1_seq = Apriori::new(params.parallelism(Parallelism::Sequential)).mine(&d1);
         let m2_seq = Apriori::new(params.parallelism(Parallelism::Sequential)).mine(&d2);
-        let dev_seq = lits_deviation_par(
-            &m1_seq, &d1, &m2_seq, &d2, DiffFn::Absolute, AggFn::Sum,
-            Parallelism::Sequential,
-        );
+        let dev_seq = deviate_at::<LitsFamily>(&m1_seq, &d1, &m2_seq, &d2, Parallelism::Sequential);
 
         for t in THREADS {
             let par = Parallelism::Threads(t);
@@ -117,11 +137,11 @@ proptest! {
             let m2 = Apriori::new(params.parallelism(par)).mine(&d2);
             prop_assert_eq!(&m1, &m1_seq, "mined model 1, threads = {}", t);
             prop_assert_eq!(&m2, &m2_seq, "mined model 2, threads = {}", t);
-            let dev = lits_deviation_par(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum, par);
+            let dev = deviate_at::<LitsFamily>(&m1, &d1, &m2, &d2, par);
             prop_assert_eq!(dev.value.to_bits(), dev_seq.value.to_bits(),
                             "deviation value, threads = {}", t);
-            assert_bits_eq(&dev.supports1, &dev_seq.supports1, "supports1");
-            assert_bits_eq(&dev.supports2, &dev_seq.supports2, "supports2");
+            assert_bits_eq(&dev.raw1, &dev_seq.raw1, "raw1");
+            assert_bits_eq(&dev.raw2, &dev_seq.raw2, "raw2");
             assert_bits_eq(&dev.per_region, &dev_seq.per_region, "per_region");
             prop_assert_eq!(&dev.gcr, &dev_seq.gcr);
         }
@@ -138,22 +158,20 @@ proptest! {
         let m1 = DecisionTree::fit(&d1, params).to_model();
         let m2 = DecisionTree::fit(&d2, params).to_model();
 
-        let counts_seq = count_partition_par(&d1, m1.leaves(), 2, Parallelism::Sequential);
-        let dev_seq = dt_deviation_par(
-            &m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum, Parallelism::Sequential,
-        );
+        let counts_seq = count_partition(&d1, m1.leaves(), 2, Parallelism::Sequential);
+        let dev_seq = deviate_at::<DtFamily>(&m1, &d1, &m2, &d2, Parallelism::Sequential);
 
         for t in THREADS {
             let par = Parallelism::Threads(t);
             prop_assert_eq!(
-                &count_partition_par(&d1, m1.leaves(), 2, par), &counts_seq,
+                &count_partition(&d1, m1.leaves(), 2, par), &counts_seq,
                 "partition counts, threads = {}", t
             );
-            let dev = dt_deviation_par(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum, par);
+            let dev = deviate_at::<DtFamily>(&m1, &d1, &m2, &d2, par);
             prop_assert_eq!(dev.value.to_bits(), dev_seq.value.to_bits(),
                             "deviation value, threads = {}", t);
-            assert_bits_eq(&dev.measures1, &dev_seq.measures1, "measures1");
-            assert_bits_eq(&dev.measures2, &dev_seq.measures2, "measures2");
+            assert_bits_eq(&dev.raw1, &dev_seq.raw1, "raw1");
+            assert_bits_eq(&dev.raw2, &dev_seq.raw2, "raw2");
             assert_bits_eq(&dev.per_region, &dev_seq.per_region, "per_region");
         }
     }
@@ -187,22 +205,20 @@ proptest! {
             (n + 17) as u64,
         );
 
-        let dev_seq = cluster_deviation_par(
-            &c1, &d1, &c2, &d2, DiffFn::Absolute, AggFn::Sum, Parallelism::Sequential,
-        );
-        let counts_seq = count_boxes_par(&d1, c1.clusters(), Parallelism::Sequential);
+        let dev_seq = deviate_at::<ClusterFamily>(&c1, &d1, &c2, &d2, Parallelism::Sequential);
+        let counts_seq = count_boxes(&d1, c1.clusters(), Parallelism::Sequential);
 
         for t in THREADS {
             let par = Parallelism::Threads(t);
             prop_assert_eq!(
-                &count_boxes_par(&d1, c1.clusters(), par), &counts_seq,
+                &count_boxes(&d1, c1.clusters(), par), &counts_seq,
                 "box counts, threads = {}", t
             );
-            let dev = cluster_deviation_par(&c1, &d1, &c2, &d2, DiffFn::Absolute, AggFn::Sum, par);
+            let dev = deviate_at::<ClusterFamily>(&c1, &d1, &c2, &d2, par);
             prop_assert_eq!(dev.value.to_bits(), dev_seq.value.to_bits(),
                             "deviation value, threads = {}", t);
-            assert_bits_eq(&dev.measures1, &dev_seq.measures1, "measures1");
-            assert_bits_eq(&dev.measures2, &dev_seq.measures2, "measures2");
+            assert_bits_eq(&dev.raw1, &dev_seq.raw1, "raw1");
+            assert_bits_eq(&dev.raw2, &dev_seq.raw2, "raw2");
             assert_bits_eq(&dev.per_region, &dev_seq.per_region, "per_region");
         }
     }
@@ -223,21 +239,57 @@ proptest! {
         let pipeline = |a: &TransactionSet, b: &TransactionSet| {
             let ma = miner.mine(a);
             let mb = miner.mine(b);
-            lits_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+            deviate::<LitsFamily>(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
         };
         let observed = pipeline(&d1, &d2);
 
-        let q_seq = qualify_transactions_par(
+        let q_seq = qualify(
             &d1, &d2, observed, 12, seed, Parallelism::Sequential, pipeline,
         );
         for t in THREADS {
-            let q = qualify_transactions_par(
+            let q = qualify(
                 &d1, &d2, observed, 12, seed, Parallelism::Threads(t), pipeline,
             );
             assert_bits_eq(&q.null_distribution, &q_seq.null_distribution, "null distribution");
             prop_assert_eq!(q.significance_percent.to_bits(),
                             q_seq.significance_percent.to_bits(),
                             "significance, threads = {}", t);
+        }
+    }
+
+    /// Labelled-table qualification (a tree fitted per pseudo-dataset) and
+    /// the chi-squared calibration run on the same replicate loop, and are
+    /// bit-identical for any thread count too.
+    #[test]
+    fn table_qualification_bit_identical(seed in 0u64..1_000_000,
+                                         data_seed in 0u64..1_000_000,
+                                         n in 60usize..160, b in 30.0f64..70.0) {
+        let d1 = random_labeled(n, 50.0, 0.05, data_seed);
+        let d2 = random_labeled(n + 7, b, 0.05, data_seed ^ 0xBEEF);
+        let params = TreeParams::default()
+            .max_depth(3)
+            .min_leaf(5)
+            .parallelism(Parallelism::Sequential);
+        let pipeline = |a: &LabeledTable, b: &LabeledTable| {
+            let ma = DecisionTree::fit(a, params).to_model();
+            let mb = DecisionTree::fit(b, params).to_model();
+            deviate::<DtFamily>(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+        };
+        let observed = pipeline(&d1, &d2);
+        let old = DecisionTree::fit(&d1, params).to_model();
+        let chi = |d: &LabeledTable| chi_squared_statistic(&old, d, 0.5, Parallelism::Sequential);
+        let chi_obs = chi(&d2);
+
+        let q_seq = qualify(&d1, &d2, observed, 10, seed, Parallelism::Sequential, pipeline);
+        let c_seq = qualify_chi_squared(&d1, n, chi_obs, 10, seed, Parallelism::Sequential, chi);
+        for t in THREADS {
+            let par = Parallelism::Threads(t);
+            let q = qualify(&d1, &d2, observed, 10, seed, par, pipeline);
+            assert_bits_eq(&q.null_distribution, &q_seq.null_distribution, "table null");
+            let c = qualify_chi_squared(&d1, n, chi_obs, 10, seed, par, chi);
+            assert_bits_eq(&c.null_distribution, &c_seq.null_distribution, "chi-squared null");
+            prop_assert_eq!(c.significance_percent.to_bits(), c_seq.significance_percent.to_bits(),
+                            "chi-squared significance, threads = {}", t);
         }
     }
 
@@ -250,11 +302,16 @@ proptest! {
             let mb = b.iter().sum::<f64>() / b.len() as f64;
             (ma - mb).abs()
         };
-        let seq = bootstrap_two_sample_par(&pool, n / 2, n / 3, 25, seed,
-                                           Parallelism::Sequential, stat);
+        let draw = |rng: &mut StdRng| {
+            let mut sample = |k: usize| -> Vec<f64> {
+                (0..k).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+            };
+            let (a, b) = (sample(n / 2), sample(n / 3));
+            stat(&a, &b)
+        };
+        let seq = replicates(25, seed, Parallelism::Sequential, draw);
         for t in THREADS {
-            let par = bootstrap_two_sample_par(&pool, n / 2, n / 3, 25, seed,
-                                               Parallelism::Threads(t), stat);
+            let par = replicates(25, seed, Parallelism::Threads(t), draw);
             assert_bits_eq(&par, &seq, "bootstrap null");
         }
     }
@@ -267,10 +324,10 @@ proptest! {
                                   b in 20.0f64..80.0, noise in 0.0f64..0.2) {
         let data = random_labeled_2attr(n, b, noise, seed);
         let params = TreeParams::default().max_depth(6).min_leaf(5);
-        let seq = DecisionTree::fit_par(&data, params, Parallelism::Sequential);
+        let seq = DecisionTree::fit(&data, params.parallelism(Parallelism::Sequential));
         let model_seq = seq.to_model();
         for t in THREADS {
-            let tree = DecisionTree::fit_par(&data, params, Parallelism::Threads(t));
+            let tree = DecisionTree::fit(&data, params.parallelism(Parallelism::Threads(t)));
             prop_assert_eq!(&tree, &seq, "fitted tree, threads = {}", t);
             let model = tree.to_model();
             assert_bits_eq(model.measures(), model_seq.measures(), "dt model measures");
@@ -297,10 +354,10 @@ proptest! {
                 Value::Num(shift + rng.gen::<f64>()),
             ]);
         }
-        let km = KMeans::new(KMeansParams::new(k).seed(seed ^ 0x5EED).max_iters(20));
-        let seq = km.fit_par(&data, Parallelism::Sequential);
+        let kp = KMeansParams::new(k).seed(seed ^ 0x5EED).max_iters(20);
+        let seq = KMeans::new(kp.parallelism(Parallelism::Sequential)).fit(&data);
         for t in THREADS {
-            let par = km.fit_par(&data, Parallelism::Threads(t));
+            let par = KMeans::new(kp.parallelism(Parallelism::Threads(t))).fit(&data);
             prop_assert_eq!(&par.assignment, &seq.assignment, "assignment, threads = {}", t);
             prop_assert_eq!(par.iterations, seq.iterations, "iterations, threads = {}", t);
             prop_assert_eq!(par.inertia.to_bits(), seq.inertia.to_bits(),
@@ -326,14 +383,13 @@ proptest! {
         let pipeline = |a: &TransactionSet, b: &TransactionSet| {
             let ma = miner.mine(a);
             let mb = miner.mine(b);
-            lits_deviation_par(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum,
-                               Parallelism::Sequential).value
+            deviate_at::<LitsFamily>(&ma, a, &mb, b, Parallelism::Sequential).value
         };
-        let seq = calibrate_threshold_par(
+        let seq = calibrate_threshold(
             &reference, n / 4, quantile, 12, seed, Parallelism::Sequential, &pipeline,
         );
         for t in THREADS {
-            let thr = calibrate_threshold_par(
+            let thr = calibrate_threshold(
                 &reference, n / 4, quantile, 12, seed, Parallelism::Threads(t), &pipeline,
             );
             prop_assert_eq!(thr.to_bits(), seq.to_bits(), "threshold, threads = {}", t);
@@ -351,10 +407,10 @@ proptest! {
         let counts2: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1000)).collect();
         for f in [DiffFn::Absolute, DiffFn::Scaled, DiffFn::ChiSquared { c: 0.5 }] {
             for g in [AggFn::Sum, AggFn::Max] {
-                let seq = deviation_fixed_par(&counts1, &counts2, n1, n2, f, g,
+                let seq = deviation_fixed(&counts1, &counts2, n1, n2, f, g,
                                               Parallelism::Sequential);
                 for t in THREADS {
-                    let par = deviation_fixed_par(&counts1, &counts2, n1, n2, f, g,
+                    let par = deviation_fixed(&counts1, &counts2, n1, n2, f, g,
                                                   Parallelism::Threads(t));
                     prop_assert_eq!(par.to_bits(), seq.to_bits(),
                                     "{:?}/{:?}, threads = {}", f, g, t);
@@ -381,7 +437,7 @@ proptest! {
             .chain(std::iter::once(Itemset::from_slice(&[])))
             .chain(std::iter::once(Itemset::from_slice(&[n_items + 3])))
             .collect();
-        let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+        let horizontal = count_itemsets(&data, &sets, Parallelism::Sequential);
 
         let index = VerticalIndex::build(&data);
         let fold = |par: Parallelism| -> Vec<u64> {
@@ -420,14 +476,14 @@ proptest! {
             .chain(std::iter::once(Itemset::from_slice(&[])))
             .chain(std::iter::once(Itemset::from_slice(&[n_items + 3])))
             .collect();
-        let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+        let horizontal = count_itemsets(&data, &sets, Parallelism::Sequential);
 
         let index = VerticalIndex::build(&data);
-        let grouped_seq = count_itemsets_grouped_par(&index, &sets, Parallelism::Sequential);
+        let grouped_seq = count_itemsets_grouped(&index, &sets, Parallelism::Sequential);
         prop_assert_eq!(&grouped_seq, &horizontal, "grouped vs horizontal, sequential");
         for t in THREADS {
             prop_assert_eq!(
-                &count_itemsets_grouped_par(&index, &sets, Parallelism::Threads(t)),
+                &count_itemsets_grouped(&index, &sets, Parallelism::Threads(t)),
                 &horizontal,
                 "grouped counts, threads = {}", t
             );
@@ -451,7 +507,7 @@ proptest! {
             .chain((0..n_items).map(|b| Itemset::from_slice(&[b])))
             .chain(std::iter::once(Itemset::from_slice(&[])))
             .collect();
-        let uncached = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+        let uncached = count_itemsets(&data, &sets, Parallelism::Sequential);
 
         // The auto handle (budget pinned so concurrent tests can't turn
         // the process-wide knob mid-sweep): repeated counts across the
@@ -486,10 +542,10 @@ fn large_scan_splits_chunks_and_stays_identical() {
     let sets: Vec<Itemset> = (0..14u32)
         .map(|b| Itemset::from_slice(&[b, b + 1]))
         .collect();
-    let seq = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+    let seq = count_itemsets(&data, &sets, Parallelism::Sequential);
     for t in THREADS {
         assert_eq!(
-            count_itemsets_par(&data, &sets, Parallelism::Threads(t)),
+            count_itemsets(&data, &sets, Parallelism::Threads(t)),
             seq,
             "threads = {t}"
         );
@@ -503,7 +559,7 @@ fn large_scan_splits_chunks_and_stays_identical() {
         .map(|b| Itemset::from_slice(&[b, b + 1]))
         .chain(std::iter::once(Itemset::from_slice(&[2, 5, 9])))
         .collect();
-    let horizontal = count_itemsets_par(&data, &sets, Parallelism::Sequential);
+    let horizontal = count_itemsets(&data, &sets, Parallelism::Sequential);
     let index = VerticalIndex::build(&data);
     for t in THREADS {
         let folded: Vec<u64> = sets
@@ -520,10 +576,10 @@ fn large_scan_splits_chunks_and_stays_identical() {
         BoxBuilder::new(schema).lt("x", 50.0).build(),
         BoxBuilder::new(schema).ge("x", 50.0).build(),
     ];
-    let seq = count_partition_par(&labeled, &leaves, 2, Parallelism::Sequential);
+    let seq = count_partition(&labeled, &leaves, 2, Parallelism::Sequential);
     for t in THREADS {
         assert_eq!(
-            count_partition_par(&labeled, &leaves, 2, Parallelism::Threads(t)),
+            count_partition(&labeled, &leaves, 2, Parallelism::Threads(t)),
             seq,
             "threads = {t}"
         );
@@ -567,7 +623,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
         par,
         ..MatrixParams::default()
     };
-    let full = deviation_matrix_par::<DtFamily>(
+    let full = deviation_matrix::<DtFamily>(
         &dt_models,
         &dt_data,
         names.clone(),
@@ -575,7 +631,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
     )
     .unwrap();
     // 1.0 splits the bound range: shared-skeleton pair ≪ 1 < 2.0.
-    let screened_seq = deviation_matrix_par::<DtFamily>(
+    let screened_seq = deviation_matrix::<DtFamily>(
         &dt_models,
         &dt_data,
         names.clone(),
@@ -585,7 +641,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
     assert_eq!(screened_seq.pruned(), 1, "the shared-skeleton pair prunes");
     assert_eq!(screened_seq.scanned(), 2);
     for t in THREADS {
-        let screened = deviation_matrix_par::<DtFamily>(
+        let screened = deviation_matrix::<DtFamily>(
             &dt_models,
             &dt_data,
             names.clone(),
@@ -639,7 +695,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
         cl_model(vec![boxed(0.0, 30.0), boxed(50.0, 80.0)], &cl_data[1]),
         cl_model(vec![boxed(100.0, 130.0), boxed(150.0, 180.0)], &cl_data[2]),
     ];
-    let full = deviation_matrix_par::<ClusterFamily>(
+    let full = deviation_matrix::<ClusterFamily>(
         &cl_models,
         &cl_data,
         names.clone(),
@@ -647,7 +703,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
     )
     .unwrap();
     let threshold = full.bound(0, 1);
-    let screened_seq = deviation_matrix_par::<ClusterFamily>(
+    let screened_seq = deviation_matrix::<ClusterFamily>(
         &cl_models,
         &cl_data,
         names.clone(),
@@ -657,7 +713,7 @@ fn dt_and_cluster_screening_matches_full_scan_at_every_thread_count() {
     assert!(screened_seq.pruned() >= 1, "the shared-box pair prunes");
     assert!(screened_seq.scanned() >= 1, "the disjoint-span pairs scan");
     for t in THREADS {
-        let screened = deviation_matrix_par::<ClusterFamily>(
+        let screened = deviation_matrix::<ClusterFamily>(
             &cl_models,
             &cl_data,
             names.clone(),
@@ -708,11 +764,11 @@ proptest! {
             par,
             ..MatrixParams::default()
         };
-        let seq = deviation_matrix_par::<LitsFamily>(
+        let seq = deviation_matrix::<LitsFamily>(
             &models, &datasets, names.clone(), &params(Parallelism::Sequential),
         ).unwrap();
         for t in THREADS {
-            let par = deviation_matrix_par::<LitsFamily>(
+            let par = deviation_matrix::<LitsFamily>(
                 &models, &datasets, names.clone(), &params(Parallelism::Threads(t)),
             ).unwrap();
             prop_assert_eq!(par.scanned(), seq.scanned(), "scanned, threads = {}", t);
@@ -745,17 +801,17 @@ proptest! {
             .collect();
         let models: Vec<_> = datasets
             .iter()
-            .map(|d| DecisionTree::fit_par(d, tree_params, Parallelism::Sequential).to_model())
+            .map(|d| DecisionTree::fit(d, tree_params.parallelism(Parallelism::Sequential)).to_model())
             .collect();
         let names: Vec<String> = (0..n_snaps).map(|i| format!("t{i}")).collect();
 
         let params = |par| MatrixParams { par, ..MatrixParams::default() };
-        let seq = deviation_matrix_par::<DtFamily>(
+        let seq = deviation_matrix::<DtFamily>(
             &models, &datasets, names.clone(), &params(Parallelism::Sequential),
         ).unwrap();
         prop_assert_eq!(seq.pruned(), 0, "threshold 0 never prunes");
         for t in THREADS {
-            let par = deviation_matrix_par::<DtFamily>(
+            let par = deviation_matrix::<DtFamily>(
                 &models, &datasets, names.clone(), &params(Parallelism::Threads(t)),
             ).unwrap();
             prop_assert_eq!(par.scanned(), seq.scanned(), "scanned, threads = {}", t);
@@ -787,19 +843,20 @@ proptest! {
                 t.push_row(&[Value::Num(shift + rng.gen::<f64>()),
                              Value::Num(shift + rng.gen::<f64>())]);
             }
-            let km = KMeans::new(KMeansParams::new(2).seed(seed ^ i as u64).max_iters(15));
-            models.push(km.fit_par(&t, Parallelism::Sequential).to_model(&t));
+            let kp = KMeansParams::new(2).seed(seed ^ i as u64).max_iters(15);
+            let km = KMeans::new(kp.parallelism(Parallelism::Sequential));
+            models.push(km.fit(&t).to_model(&t));
             datasets.push(t);
         }
         let names: Vec<String> = (0..n_snaps).map(|i| format!("c{i}")).collect();
 
         let params = |par| MatrixParams { par, ..MatrixParams::default() };
-        let seq = deviation_matrix_par::<ClusterFamily>(
+        let seq = deviation_matrix::<ClusterFamily>(
             &models, &datasets, names.clone(), &params(Parallelism::Sequential),
         ).unwrap();
         prop_assert_eq!(seq.pruned(), 0, "threshold 0 never prunes");
         for t in THREADS {
-            let par = deviation_matrix_par::<ClusterFamily>(
+            let par = deviation_matrix::<ClusterFamily>(
                 &models, &datasets, names.clone(), &params(Parallelism::Threads(t)),
             ).unwrap();
             prop_assert_eq!(par.scanned(), seq.scanned(), "scanned, threads = {}", t);

@@ -45,8 +45,10 @@ fn same_blobs_deviate_less_than_shifted_blobs() {
     let m_same = model(&d_same, 3, 2);
     let m_shift = model(&d_shift, 3, 3);
 
-    let dev_same = cluster_deviation(&m1, &d1, &m_same, &d_same, DiffFn::Absolute, AggFn::Sum);
-    let dev_shift = cluster_deviation(&m1, &d1, &m_shift, &d_shift, DiffFn::Absolute, AggFn::Sum);
+    let dev_same =
+        deviate::<ClusterFamily>(&m1, &d1, &m_same, &d_same, DiffFn::Absolute, AggFn::Sum);
+    let dev_shift =
+        deviate::<ClusterFamily>(&m1, &d1, &m_shift, &d_shift, DiffFn::Absolute, AggFn::Sum);
     assert!(
         dev_shift.value > dev_same.value,
         "shifted {} vs same {}",
@@ -59,7 +61,7 @@ fn same_blobs_deviate_less_than_shifted_blobs() {
 fn identical_clusterings_deviate_zero() {
     let d = blobs(&[(0.0, 0.0), (30.0, 30.0)], 100, 3.0, 5);
     let m = model(&d, 2, 7);
-    let dev = cluster_deviation(&m, &d, &m, &d, DiffFn::Absolute, AggFn::Sum);
+    let dev = deviate::<ClusterFamily>(&m, &d, &m, &d, DiffFn::Absolute, AggFn::Sum);
     assert_eq!(dev.value, 0.0);
 }
 
@@ -69,7 +71,7 @@ fn gcr_regions_are_disjoint_boxes() {
     let d2 = blobs(&[(5.0, 5.0), (20.0, 20.0)], 120, 6.0, 10);
     let m1 = model(&d1, 2, 9);
     let m2 = model(&d2, 2, 10);
-    let dev = cluster_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
+    let dev = deviate::<ClusterFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
     for (i, a) in dev.gcr.iter().enumerate() {
         for b in &dev.gcr[i + 1..] {
             assert!(a.intersect(b).is_none(), "GCR regions must be disjoint");
@@ -77,13 +79,14 @@ fn gcr_regions_are_disjoint_boxes() {
     }
     // Remainder decomposition preserves mass: each original cluster's
     // selectivity equals the sum over the GCR pieces inside it.
+    let n1 = d1.len() as f64;
     for (ci, cluster) in m1.clusters().iter().enumerate() {
         let inside: f64 = dev
             .gcr
             .iter()
-            .zip(&dev.measures1)
+            .zip(&dev.raw1)
             .filter(|(r, _)| r.intersect(cluster).is_some_and(|x| &x == *r))
-            .map(|(_, m)| *m)
+            .map(|(_, m)| *m / n1)
             .sum();
         assert!(
             (inside - m1.measures()[ci]).abs() < 1e-9,
@@ -103,10 +106,26 @@ fn focussed_cluster_deviation_restricts_to_region() {
     // The low blob is shared; the high blob moved. Focus on each half.
     let low = BoxBuilder::new(schema).lt("x", 20.0).lt("y", 20.0).build();
     let high = BoxBuilder::new(schema).ge("x", 20.0).ge("y", 20.0).build();
-    let dev_low =
-        cluster_deviation_focussed(&m1, &d1, &m2, &d2, &low, DiffFn::Absolute, AggFn::Sum);
-    let dev_high =
-        cluster_deviation_focussed(&m1, &d1, &m2, &d2, &high, DiffFn::Absolute, AggFn::Sum);
+    let dev_low = deviate_focussed::<ClusterFamily>(
+        &m1,
+        &d1,
+        &m2,
+        &d2,
+        &low,
+        DiffFn::Absolute,
+        AggFn::Sum,
+        Parallelism::Global,
+    );
+    let dev_high = deviate_focussed::<ClusterFamily>(
+        &m1,
+        &d1,
+        &m2,
+        &d2,
+        &high,
+        DiffFn::Absolute,
+        AggFn::Sum,
+        Parallelism::Global,
+    );
     assert!(
         dev_high.value > dev_low.value,
         "moved blob {} vs stable blob {}",

@@ -20,7 +20,7 @@ fn mine(d: &TransactionSet) -> LitsModel {
 fn deviation(a: &TransactionSet, b: &TransactionSet) -> f64 {
     let ma = mine(a);
     let mb = mine(b);
-    lits_deviation(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+    deviate::<LitsFamily>(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
 }
 
 #[test]
@@ -89,7 +89,7 @@ fn upper_bound_dominates_and_is_fast_to_agree() {
     let m2 = mine(&d2);
     for g in [AggFn::Sum, AggFn::Max] {
         let bound = lits_upper_bound(&m1, &m2, g);
-        let exact = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
+        let exact = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, g).value;
         assert!(bound >= exact - 1e-12, "{g:?}: {bound} < {exact}");
     }
     // δ* is symmetric and zero on identical models.
@@ -110,18 +110,35 @@ fn focussed_deviation_never_exceeds_total_for_fa() {
     let d2 = p2.generate(2000, 2);
     let m1 = mine(&d1);
     let m2 = mine(&d2);
-    let total = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
+    let total = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum).value;
     for hi in [10u32, 40, 80, 100] {
         let universe: Vec<u32> = (0..hi).collect();
-        let focussed =
-            lits_deviation_focussed(&m1, &d1, &m2, &d2, &universe, DiffFn::Absolute, AggFn::Sum)
-                .value;
+        let focussed = deviate_focussed::<LitsFamily>(
+            &m1,
+            &d1,
+            &m2,
+            &d2,
+            &universe,
+            DiffFn::Absolute,
+            AggFn::Sum,
+            Parallelism::Global,
+        )
+        .value;
         assert!(focussed <= total + 1e-9, "universe 0..{hi}");
     }
     // The full universe recovers the total exactly.
     let universe: Vec<u32> = (0..100).collect();
-    let full =
-        lits_deviation_focussed(&m1, &d1, &m2, &d2, &universe, DiffFn::Absolute, AggFn::Sum).value;
+    let full = deviate_focussed::<LitsFamily>(
+        &m1,
+        &d1,
+        &m2,
+        &d2,
+        &universe,
+        DiffFn::Absolute,
+        AggFn::Sum,
+        Parallelism::Global,
+    )
+    .value;
     assert!((full - total).abs() < 1e-12);
 }
 
@@ -137,14 +154,14 @@ fn rank_and_select_over_structural_union() {
     let d2 = p2.generate(2000, 2);
     let m1 = mine(&d1);
     let m2 = mine(&d2);
-    let dev = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
+    let dev = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
     let union = lits_union(m1.itemsets(), m2.itemsets());
     assert_eq!(union, dev.gcr, "structural union IS the GCR for lits");
     let ranked = rank(union, |s| dev.per_region[dev.gcr.binary_search(s).unwrap()]);
     let top = select_top(&ranked).expect("non-empty");
     // The top region's deviation equals the max per-region difference,
     // which is δ(f_a, g_max).
-    let max_dev = lits_deviation(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Max).value;
+    let max_dev = deviate::<LitsFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Max).value;
     assert!((top.deviation - max_dev).abs() < 1e-12);
     // Selections behave.
     assert_eq!(select_top_n(&ranked, 10).len(), 10.min(ranked.len()));

@@ -138,7 +138,7 @@ fn check_index(data: &TransactionSet, index: &VerticalIndex, what: &str) {
         })
         .collect();
     assert_eq!(
-        count_itemsets_grouped(index, &itemsets),
+        count_itemsets_grouped(index, &itemsets, Parallelism::Global),
         want,
         "{what}: grouped counts"
     );
