@@ -1,6 +1,6 @@
 //! Criterion bench B7: thread-count scaling of the parallel execution
 //! engine — the three chunked dataset scans (itemset counting, partition
-//! routing, box counting), the bootstrap per-replicate fan-out, and the
+//! routing, cluster-GCR region counting), the bootstrap per-replicate fan-out, and the
 //! model-induction hot paths (decision-tree fitting, k-means Lloyd
 //! iterations, monitor calibration), each at `--threads 1..=4`. Results
 //! are bit-identical across the sweep (enforced by
@@ -10,8 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use focus_cluster::{KMeans, KMeansParams};
 use focus_core::deviation::deviate_over;
 use focus_core::diff::{AggFn, DiffFn};
-use focus_core::family::{LitsFamily, ModelFamily};
-use focus_core::model::{count_boxes, count_itemsets, count_partition};
+use focus_core::family::{ClusterFamily, LitsFamily, ModelFamily, Side};
+use focus_core::model::{count_itemsets, count_partition, ClusterModel};
 use focus_core::qualify::qualify;
 use focus_core::region::BoxBuilder;
 use focus_core::source::CountSource;
@@ -39,7 +39,20 @@ fn bench_scaling(c: &mut Criterion) {
         BoxBuilder::new(&schema).range("age", 40.0, 60.0).build(),
         BoxBuilder::new(&schema).ge("age", 60.0).build(),
     ];
-    let boxes: Vec<_> = leaves.clone();
+    // Two overlapping cluster families: their GCR has intersections and
+    // remainder pieces on both sides.
+    let c1 = ClusterModel::new(leaves.clone(), vec![1.0 / 3.0; 3], 20_000);
+    let c2 = ClusterModel::new(
+        vec![
+            BoxBuilder::new(&schema).range("age", 30.0, 50.0).build(),
+            BoxBuilder::new(&schema)
+                .range("salary", 50_000.0, 100_000.0)
+                .build(),
+        ],
+        vec![0.5, 0.5],
+        20_000,
+    );
+    let cluster_gcr = ClusterFamily::gcr(&c1, &c2);
 
     let mut group = c.benchmark_group("scaling");
     for t in THREADS {
@@ -50,8 +63,17 @@ fn bench_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("count_partition", t), &par, |b, &par| {
             b.iter(|| black_box(count_partition(&labeled, &leaves, 2, par)))
         });
-        group.bench_with_input(BenchmarkId::new("count_boxes", t), &par, |b, &par| {
-            b.iter(|| black_box(count_boxes(&labeled.table, &boxes, par)))
+        group.bench_with_input(BenchmarkId::new("cluster_measures", t), &par, |b, &par| {
+            b.iter(|| {
+                black_box(ClusterFamily::measures(
+                    &cluster_gcr,
+                    &c1,
+                    &c2,
+                    &&labeled.table,
+                    Side::Left,
+                    par,
+                ))
+            })
         });
     }
     group.finish();

@@ -50,7 +50,7 @@ use focus_cluster::{KMeans, KMeansParams};
 use focus_core::bound::lits_upper_bound;
 use focus_core::deviation;
 use focus_core::diff::{AggFn, DiffFn};
-use focus_core::family::{ClusterFamily, DtFamily, LitsFamily};
+use focus_core::family::{ClusterFamily, DtFamily, LitsFamily, ModelFamily};
 use focus_core::persist::{read_lits_model, write_lits_model};
 use focus_core::qualify::qualify_transactions;
 use focus_data::assoc::{AssocGen, AssocGenParams};
@@ -382,15 +382,17 @@ fn tree(flags: &Flags) -> Result<(), String> {
 }
 
 fn deviate_dt(flags: &Flags) -> Result<(), String> {
-    let d1 = read_labeled_table(File::open(req(flags, "d1")?).map_err(io_err)?).map_err(io_err)?;
-    let d2 = read_labeled_table(File::open(req(flags, "d2")?).map_err(io_err)?).map_err(io_err)?;
+    let (p1, p2) = (req(flags, "d1")?, req(flags, "d2")?);
+    let d1 = read_labeled_table(File::open(p1).map_err(io_err)?).map_err(io_err)?;
+    let d2 = read_labeled_table(File::open(p2).map_err(io_err)?).map_err(io_err)?;
     let m1 = DecisionTree::fit(&d1, tree_params(flags, d1.len())?).to_model();
     let m2 = DecisionTree::fit(&d2, tree_params(flags, d2.len())?).to_model();
+    DtFamily::comparable(&m1, &m2).map_err(|e| format!("cannot compare {p1} with {p2}: {e}"))?;
     let dev = deviation::deviate::<DtFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
     println!("{:.6}", dev.value);
     eprintln!(
         "GCR: {} cells from {} × {} leaves",
-        dev.gcr.cells.len(),
+        dev.gcr.cells().len(),
         m1.leaves().len(),
         m2.leaves().len()
     );

@@ -392,6 +392,88 @@ fn registry_dt_pipeline_golden() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The cluster-family registry workflow — gen-class → registry-add
+/// --kind cluster × 4 → matrix at threshold 0 and `--top 2` — with both
+/// reports snapshotted in one file and swept across thread counts.
+///
+/// k-means bounding boxes overlap within one model, so the exact scans
+/// exercise intersections of overlapping boxes and the remainder pieces
+/// of every cluster, not just a clean overlay.
+#[test]
+fn registry_cluster_pipeline_golden() {
+    let dir = scratch("registry-cluster");
+    let reg = dir.join("reg");
+
+    for (name, function, seed, k) in [
+        ("day-a", "F2", "2", "3"),
+        ("day-b", "F2", "3", "4"),
+        ("day-c", "F5", "4", "3"),
+        ("day-d", "F5", "5", "5"),
+    ] {
+        let data = dir.join(format!("{name}.tbl"));
+        run(&[
+            "gen-class",
+            "--out",
+            path_str(&data),
+            "--n",
+            "1500",
+            "--function",
+            function,
+            "--seed",
+            seed,
+        ]);
+        run(&[
+            "registry-add",
+            "--dir",
+            path_str(&reg),
+            "--data",
+            path_str(&data),
+            "--name",
+            name,
+            "--kind",
+            "cluster",
+            "--clusters",
+            k,
+            "--seed",
+            seed,
+        ]);
+    }
+
+    let mut outputs = Vec::new();
+    for threads in ["1", "2", "4", "7"] {
+        let full = run(&["matrix", "--dir", path_str(&reg), "--threads", threads]);
+        let top = run(&[
+            "matrix",
+            "--dir",
+            path_str(&reg),
+            "--top",
+            "2",
+            "--threads",
+            threads,
+        ]);
+        outputs.push(format!("{}{}", stdout(&full), stdout(&top)));
+    }
+    for o in &outputs[1..] {
+        assert_eq!(
+            o, &outputs[0],
+            "cluster matrix output must be thread-invariant"
+        );
+    }
+    assert_golden("registry_matrix_cluster", &outputs[0]);
+    assert!(
+        outputs[0].starts_with("pairs 6 scanned 6 pruned 0 "),
+        "at threshold 0 every cluster pair must be scanned exactly: {}",
+        outputs[0]
+    );
+    assert!(
+        outputs[0].contains("pairs 6 scanned 2 pruned 4 top 2"),
+        "--top 2 must scan exactly the two largest bounds: {}",
+        outputs[0]
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The snapshots must be invariant under the thread count — the CLI-level
 /// expression of the bit-identical contract. (CI additionally runs the
 /// whole suite under FOCUS_THREADS ∈ {1, 4}.)

@@ -353,6 +353,76 @@ fn unknown_command_fails_nonzero() {
 }
 
 #[test]
+fn dt_class_count_mismatch_fails_closed() {
+    // Regression: two tables declaring 2 and 3 classes panicked inside
+    // the dt GCR ("class sets must agree", exit 101) in both deviate-dt
+    // and matrix --kind dt.
+    let dir = scratch("dt-classes");
+    let two = dir.join("two.tbl");
+    let three = dir.join("three.tbl");
+    for (path, seed) in [(&two, "1"), (&three, "2")] {
+        run(&[
+            "gen-class",
+            "--out",
+            path_str(path),
+            "--n",
+            "300",
+            "--function",
+            "F2",
+            "--seed",
+            seed,
+        ]);
+    }
+    let text = std::fs::read_to_string(&three).unwrap();
+    std::fs::write(&three, text.replace("#classes 2", "#classes 3")).unwrap();
+    let reg = dir.join("reg");
+    for (name, path) in [("two", &two), ("three", &three)] {
+        run(&[
+            "registry-add",
+            "--dir",
+            path_str(&reg),
+            "--data",
+            path_str(path),
+            "--name",
+            name,
+            "--kind",
+            "dt",
+        ]);
+    }
+    let runs: [(&str, Vec<&str>); 2] = [
+        (
+            "deviate-dt",
+            vec![
+                "deviate-dt",
+                "--d1",
+                path_str(&two),
+                "--d2",
+                path_str(&three),
+            ],
+        ),
+        (
+            "matrix",
+            vec!["matrix", "--dir", path_str(&reg), "--kind", "dt"],
+        ),
+    ];
+    for (tag, args) in runs {
+        let out = Command::new(bin())
+            .args(&args)
+            .output()
+            .expect("failed to spawn focus-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{tag}: {stderr}");
+        assert!(
+            stderr.contains("class counts differ (2 vs 3)"),
+            "{tag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bound_rejects_out_of_range_model_files_without_panicking() {
     // Regression: `minsup 2` panicked inside `LitsModel::new` (exit 101
     // with a backtrace) and a `nan` support printed `NaN` with exit 0.

@@ -23,7 +23,7 @@
 //! never NaN or `−∞`.
 
 use crate::diff::AggFn;
-use crate::gcr::{gcr_lits, remainders};
+use crate::gcr::{gcr_lits, BoxOrigin, ClusterGcr};
 use crate::model::{ClusterModel, DtModel, LitsModel};
 
 /// The upper bound `δ*(g)(M1, M2)` of Definition 4.1.
@@ -125,7 +125,7 @@ pub fn dt_upper_bound(m1: &DtModel, m2: &DtModel, g: AggFn) -> f64 {
 /// The centroid-mass/box-overlap upper bound `δ*(g)(C1, C2)` for
 /// cluster-models.
 ///
-/// Replicates the GCR piece decomposition of [`crate::gcr::gcr_boxes`]
+/// Walks the GCR piece decomposition of [`ClusterGcr`]
 /// (intersections `a_i ∩ b_j`, then remainders of each side) and charges
 /// every piece a model-only upper bound on its per-region `f_a` value:
 ///
@@ -171,30 +171,15 @@ pub fn cluster_upper_bound(m1: &ClusterModel, m2: &ClusterModel, g: AggFn) -> f6
     };
     let hat1 = uncovered(a, u1);
     let hat2 = uncovered(b, u2);
-    let mut terms: Vec<f64> = Vec::new();
-    // Group 1: pairwise intersections, in gcr_boxes' nested-loop order.
-    for (i, ra) in a.iter().enumerate() {
-        for (j, rb) in b.iter().enumerate() {
-            if ra.intersect(rb).is_some() {
-                terms.push(if ra == rb {
-                    (u1[i] - u2[j]).abs()
-                } else {
-                    u1[i].max(u2[j])
-                });
-            }
-        }
-    }
-    // Groups 2 and 3: one term per remainder piece, with the piece's own
+    // One term per GCR piece, in GCR order: a remainder piece pits its own
     // parent mass against the other side's uncovered-mass bound.
-    for (i, ra) in a.iter().enumerate() {
-        let pieces = remainders(std::slice::from_ref(ra), b).len();
-        terms.extend(std::iter::repeat_n(u1[i].max(hat2), pieces));
-    }
-    for (j, rb) in b.iter().enumerate() {
-        let pieces = remainders(std::slice::from_ref(rb), a).len();
-        terms.extend(std::iter::repeat_n(hat1.max(u2[j]), pieces));
-    }
-    g.eval(terms)
+    let gcr = ClusterGcr::new(a, b);
+    g.eval(gcr.origins().iter().map(|origin| match *origin {
+        BoxOrigin::Both(i, j) if a[i] == b[j] => (u1[i] - u2[j]).abs(),
+        BoxOrigin::Both(i, j) => u1[i].max(u2[j]),
+        BoxOrigin::LeftOnly(i) => u1[i].max(hat2),
+        BoxOrigin::RightOnly(j) => hat1.max(u2[j]),
+    }))
 }
 
 #[cfg(test)]

@@ -479,7 +479,7 @@ mod tests {
         let (_s, d1, d2, t1, t2) = dt_fixture();
         let dev = deviate::<DtFamily>(&t1, &d1, &t2, &d2, DiffFn::Absolute, AggFn::Sum);
         // Overlay cells: [<30), [30,50), [≥50) — 3 cells.
-        assert_eq!(dev.gcr.cells.len(), 3);
+        assert_eq!(dev.gcr.cells().len(), 3);
         // Manual: cell [0,30): D1 class1 sel = .30, class0 0; D2 class1 .30.
         //   diffs: |0.30−0.30| + |0−0| = 0
         // cell [30,50): D1 class0 .20; D2 class1 .20 → |0−.20| + |.20−0| = .4
@@ -601,7 +601,7 @@ mod tests {
         // sel1: [5,10)=0.5, [0,5)=0.5, [10,15)=0.0
         // sel2: [5,10)=0.5, [0,5)=0.0, [10,15)=0.5
         // δ = 0 + 0.5 + 0.5 = 1.0.
-        assert_eq!(dev.gcr.len(), 3);
+        assert_eq!(dev.gcr.regions().len(), 3);
         assert!((dev.value - 1.0).abs() < 1e-12, "got {}", dev.value);
         // Identical models/datasets deviate by zero.
         let same = deviate::<ClusterFamily>(&c1, &d1, &c1, &d1, DiffFn::Absolute, AggFn::Sum);

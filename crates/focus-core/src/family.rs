@@ -27,12 +27,11 @@
 
 use crate::data::{LabeledTable, Table, TransactionSet};
 use crate::diff::{AggFn, DiffFn};
-use crate::gcr::{gcr_boxes, gcr_lits, gcr_partition, OverlayCell};
-use crate::model::{count_boxes, ClusterModel, DtModel, LitsModel};
+use crate::gcr::{gcr_lits, gcr_partition, ClusterGcr, OverlayCell};
+use crate::model::{ClusterModel, DtModel, LitsModel};
 use crate::region::{BoxRegion, Itemset};
 use crate::source::CountSource;
 use focus_exec::{map_chunks, merge_counts, Parallelism};
-use std::collections::HashMap;
 
 /// Which side of a deviation pair a dataset belongs to. Measure extension
 /// needs this because some families treat the two sides asymmetrically:
@@ -84,6 +83,15 @@ pub trait ModelFamily {
     /// cluster-models, whose bound violates `δ*(M, M) = 0` when clusters
     /// overlap.
     const BOUND_IS_METRIC: bool = false;
+
+    /// Why two models cannot be compared at all, if they cannot (dt
+    /// models over different class sets). [`ModelFamily::gcr`] requires
+    /// this to pass; callers facing untrusted inputs check it first and
+    /// report the error instead of panicking.
+    fn comparable(m1: &Self::Model, m2: &Self::Model) -> Result<(), String> {
+        let _ = (m1, m2);
+        Ok(())
+    }
 
     /// The GCR of the two structural components (Definition 3.4).
     fn gcr(m1: &Self::Model, m2: &Self::Model) -> Self::Gcr;
@@ -279,10 +287,49 @@ pub struct DtFamily;
 /// evaluation regions are `(cell, class)` pairs in row-major order.
 #[derive(Debug, Clone)]
 pub struct DtGcr {
+    cells: Vec<OverlayCell>,
+    n_classes: u32,
+    /// `by_pair[left * n_right + right]`: the index of the cell with that
+    /// parentage, or [`NO_CELL`].
+    by_pair: Vec<usize>,
+    /// Number of leaves of the second model.
+    n_right: usize,
+}
+
+/// Marks a leaf pair without a cell in [`DtGcr`]'s table.
+const NO_CELL: usize = usize::MAX;
+
+impl DtGcr {
+    /// Wraps overlay cells whose parentage indexes `n_left` leaves of the
+    /// first model and `n_right` of the second, building the leaf-pair
+    /// table the measure scan looks cells up in.
+    pub(crate) fn new(
+        cells: Vec<OverlayCell>,
+        n_classes: u32,
+        n_left: usize,
+        n_right: usize,
+    ) -> Self {
+        let mut by_pair = vec![NO_CELL; n_left * n_right];
+        for (idx, c) in cells.iter().enumerate() {
+            by_pair[c.left * n_right + c.right] = idx;
+        }
+        Self {
+            cells,
+            n_classes,
+            by_pair,
+            n_right,
+        }
+    }
+
     /// The overlay cells (class-free; classes are the measure rows).
-    pub cells: Vec<OverlayCell>,
+    pub fn cells(&self) -> &[OverlayCell] {
+        &self.cells
+    }
+
     /// Number of classes `k` (shared by both models).
-    pub n_classes: u32,
+    pub fn n_classes(&self) -> u32 {
+        self.n_classes
+    }
 }
 
 impl ModelFamily for DtFamily {
@@ -298,12 +345,27 @@ impl ModelFamily for DtFamily {
     const NAME: &'static str = "dt";
     const BOUND_IS_METRIC: bool = true;
 
-    fn gcr(m1: &DtModel, m2: &DtModel) -> DtGcr {
-        assert_eq!(m1.n_classes(), m2.n_classes(), "class sets must agree");
-        DtGcr {
-            cells: gcr_partition(m1.leaves(), m2.leaves()),
-            n_classes: m1.n_classes(),
+    fn comparable(m1: &DtModel, m2: &DtModel) -> Result<(), String> {
+        if m1.n_classes() != m2.n_classes() {
+            return Err(format!(
+                "class counts differ ({} vs {})",
+                m1.n_classes(),
+                m2.n_classes()
+            ));
         }
+        Ok(())
+    }
+
+    fn gcr(m1: &DtModel, m2: &DtModel) -> DtGcr {
+        if let Err(e) = Self::comparable(m1, m2) {
+            panic!("dt models are not comparable: {e}");
+        }
+        DtGcr::new(
+            gcr_partition(m1.leaves(), m2.leaves()),
+            m1.n_classes(),
+            m1.leaves().len(),
+            m2.leaves().len(),
+        )
     }
 
     fn source(data: &LabeledTable) -> &LabeledTable {
@@ -315,20 +377,19 @@ impl ModelFamily for DtFamily {
     }
 
     fn restrict(gcr: DtGcr, focus: &BoxRegion) -> DtGcr {
-        DtGcr {
-            cells: gcr
-                .cells
-                .into_iter()
-                .filter_map(|c| {
-                    c.region.intersect(focus).map(|region| OverlayCell {
-                        region,
-                        left: c.left,
-                        right: c.right,
-                    })
+        let n_left = gcr.by_pair.len() / gcr.n_right.max(1);
+        let cells = gcr
+            .cells
+            .into_iter()
+            .filter_map(|c| {
+                c.region.intersect(focus).map(|region| OverlayCell {
+                    region,
+                    left: c.left,
+                    right: c.right,
                 })
-                .collect(),
-            n_classes: gcr.n_classes,
-        }
+            })
+            .collect();
+        DtGcr::new(cells, gcr.n_classes, n_left, gcr.n_right)
     }
 
     fn n_regions(gcr: &DtGcr) -> usize {
@@ -375,17 +436,19 @@ impl ModelFamily for DtFamily {
         // The leaf-mass dominance argument (see [`crate::bound::
         // dt_upper_bound`]) needs the absolute f_a and a shared class set —
         // with unequal class counts the exact engine cannot even build the
-        // GCR, so the pair must be scanned (and fail loudly there) rather
-        // than silently pruned.
+        // GCR, so the pair must reach the scan stage (where callers check
+        // [`ModelFamily::comparable`] and fail by name) rather than be
+        // silently pruned.
         matches!(diff, DiffFn::Absolute) && m1.n_classes() == m2.n_classes()
     }
 }
 
 /// Routes each row of `data` through both original partitions to its GCR
-/// cell and tallies per-class counts. `O(rows · (L1 + L2))` instead of
-/// `O(rows · |GCR|)`. Row chunks fan out over `par` worker threads; the
-/// per-chunk tallies merge by `u64` addition, bit-identical to a sequential
-/// scan.
+/// cell and tallies per-class counts. Each model's [`crate::region::LeafIndex`]
+/// finds the row's leaf and the GCR's leaf-pair table its cell, so a scan
+/// costs `O(rows · depth)` instead of `O(rows · |GCR|)`. Row chunks fan
+/// out over `par` worker threads; the per-chunk tallies merge by `u64`
+/// addition, bit-identical to a sequential scan.
 fn count_cells(
     gcr: &DtGcr,
     m1: &DtModel,
@@ -405,11 +468,11 @@ fn count_cells(
         data.n_classes,
         k
     );
-    let mut by_pair: HashMap<(usize, usize), usize> = HashMap::with_capacity(cells.len());
-    for (idx, c) in cells.iter().enumerate() {
-        by_pair.insert((c.left, c.right), idx);
-    }
-    let by_pair = &by_pair;
+    assert_eq!(
+        (gcr.by_pair.len(), gcr.n_right),
+        (m1.leaves().len() * m2.leaves().len(), m2.leaves().len()),
+        "the GCR was built for other models"
+    );
     let parts = map_chunks(par, data.len(), crate::model::SCAN_GRAIN, |range| {
         let mut counts = vec![0u64; cells.len() * k];
         for r in range {
@@ -418,7 +481,8 @@ fn count_cells(
             let (Some(i), Some(j)) = (m1.locate(row), m2.locate(row)) else {
                 continue;
             };
-            if let Some(&idx) = by_pair.get(&(i, j)) {
+            let idx = gcr.by_pair[i * gcr.n_right + j];
+            if idx != NO_CELL {
                 // Focussed cells may be smaller than leaf ∩ leaf (they were
                 // intersected with ρ), so re-check geometric membership; for
                 // plain GCR cells this check is trivially true.
@@ -446,7 +510,7 @@ pub struct ClusterFamily;
 impl ModelFamily for ClusterFamily {
     type Model = ClusterModel;
     type Dataset = Table;
-    type Gcr = Vec<BoxRegion>;
+    type Gcr = ClusterGcr;
     type Focus = BoxRegion;
     type Source<'a>
         = &'a Table
@@ -458,8 +522,8 @@ impl ModelFamily for ClusterFamily {
     // the bound grid must never be fed to MDS or triangle pruning.
     const BOUND_IS_METRIC: bool = false;
 
-    fn gcr(m1: &ClusterModel, m2: &ClusterModel) -> Vec<BoxRegion> {
-        gcr_boxes(m1.clusters(), m2.clusters())
+    fn gcr(m1: &ClusterModel, m2: &ClusterModel) -> ClusterGcr {
+        ClusterGcr::new(m1.clusters(), m2.clusters())
     }
 
     fn source(data: &Table) -> &Table {
@@ -470,23 +534,23 @@ impl ModelFamily for ClusterFamily {
         source.len() as u64
     }
 
-    fn restrict(gcr: Vec<BoxRegion>, focus: &BoxRegion) -> Vec<BoxRegion> {
-        gcr.into_iter().filter_map(|r| r.intersect(focus)).collect()
+    fn restrict(gcr: ClusterGcr, focus: &BoxRegion) -> ClusterGcr {
+        gcr.restrict(focus)
     }
 
-    fn n_regions(gcr: &Vec<BoxRegion>) -> usize {
-        gcr.len()
+    fn n_regions(gcr: &ClusterGcr) -> usize {
+        gcr.regions().len()
     }
 
     fn measures(
-        gcr: &Vec<BoxRegion>,
-        _m1: &ClusterModel,
-        _m2: &ClusterModel,
+        gcr: &ClusterGcr,
+        m1: &ClusterModel,
+        m2: &ClusterModel,
         data: &&Table,
         _side: Side,
         par: Parallelism,
     ) -> Vec<f64> {
-        count_boxes(data, gcr, par)
+        count_regions(gcr, m1, m2, data, par)
             .into_iter()
             .map(|c| c as f64)
             .collect()
@@ -512,6 +576,46 @@ impl ModelFamily for ClusterFamily {
         // models cannot witness, exactly like the lits supports contract.
         matches!(diff, DiffFn::Absolute)
     }
+}
+
+/// Counts the rows of `data` in every region of a cluster GCR. Each row is
+/// tested once against the `k1 + k2` model boxes and then credited through
+/// the GCR's origin tables ([`ClusterGcr::tally`]), so a scan costs
+/// `O(rows · (k1 + k2))` box tests instead of `O(rows · |GCR|)`, with the
+/// counts of testing every region. Row chunks fan out over `par` worker
+/// threads; the per-chunk tallies merge by `u64` addition, bit-identical
+/// to a sequential scan.
+fn count_regions(
+    gcr: &ClusterGcr,
+    m1: &ClusterModel,
+    m2: &ClusterModel,
+    data: &Table,
+    par: Parallelism,
+) -> Vec<u64> {
+    let (a, b) = (m1.clusters(), m2.clusters());
+    assert_eq!(
+        gcr.model_sizes(),
+        (a.len(), b.len()),
+        "the GCR was built for other models"
+    );
+    let n = gcr.regions().len();
+    let parts = map_chunks(par, data.len(), crate::model::SCAN_GRAIN, |range| {
+        let mut counts = vec![0u64; n];
+        let (mut in_a, mut in_b) = (Vec::new(), Vec::new());
+        for r in range {
+            let row = data.row(r);
+            in_a.clear();
+            in_a.extend((0..a.len()).filter(|&i| a[i].contains(row)));
+            in_b.clear();
+            in_b.extend((0..b.len()).filter(|&j| b[j].contains(row)));
+            gcr.tally(row, &in_a, &in_b, &mut counts);
+        }
+        counts
+    });
+    if parts.is_empty() {
+        return vec![0u64; n];
+    }
+    merge_counts(parts)
 }
 
 #[cfg(test)]
@@ -611,8 +715,8 @@ mod tests {
         let schema = Arc::new(Schema::new(vec![Schema::numeric("x")]));
         let plain = BoxBuilder::new(&schema).lt("x", 1.0).build();
         let pinned = BoxBuilder::new(&schema).ge("x", 1.0).class(1).build();
-        let gcr = DtGcr {
-            cells: vec![
+        let gcr = DtGcr::new(
+            vec![
                 OverlayCell {
                     region: plain,
                     left: 0,
@@ -624,8 +728,10 @@ mod tests {
                     right: 1,
                 },
             ],
-            n_classes: 2,
-        };
+            2,
+            2,
+            2,
+        );
         assert!(DtFamily::participates(&gcr, 0));
         assert!(DtFamily::participates(&gcr, 1));
         assert!(

@@ -14,8 +14,11 @@
 //!   intersections of leaf cells ("anding all possible pairs of predicates").
 //! * **cluster**: same overlay idea but the regions need not be exhaustive,
 //!   so the GCR adds the *remainders* — the parts of each cluster not
-//!   covered by the other model's clusters — decomposed into disjoint boxes.
+//!   covered by the other model's clusters — decomposed into disjoint boxes
+//!   ([`ClusterGcr`], which records each region's origin so the measure
+//!   scan can route rows instead of testing every region).
 
+use crate::data::Value;
 use crate::region::{BoxRegion, Itemset};
 
 /// GCR of two lits-model structures: the union of the itemset families,
@@ -60,51 +63,185 @@ pub fn gcr_partition(a: &[BoxRegion], b: &[BoxRegion]) -> Vec<OverlayCell> {
     cells
 }
 
-/// GCR of two *non-exhaustive* box families (cluster-models).
-///
-/// Produces three groups of disjoint regions:
-/// 1. pairwise intersections `aᵢ ∩ bⱼ`;
-/// 2. remainders `aᵢ \ ∪ⱼ bⱼ` (parts of each left cluster the right model
-///    does not cover);
-/// 3. remainders `bⱼ \ ∪ᵢ aᵢ`.
-///
-/// Together these refine every input region: each `aᵢ` is exactly the union
-/// of its intersections with the `b`s plus its remainder (and symmetrically),
-/// so measures add up for any dataset — the Definition 3.4 condition.
-pub fn gcr_boxes(a: &[BoxRegion], b: &[BoxRegion]) -> Vec<BoxRegion> {
-    let mut out = Vec::new();
-    for ra in a {
-        for rb in b {
-            if let Some(r) = ra.intersect(rb) {
-                out.push(r);
-            }
-        }
-    }
-    out.extend(remainders(a, b));
-    out.extend(remainders(b, a));
-    out
+/// Where a region of a [`ClusterGcr`] comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BoxOrigin {
+    /// The intersection `aᵢ ∩ bⱼ`.
+    Both(usize, usize),
+    /// A piece of the remainder `aᵢ \ ∪ⱼ bⱼ`.
+    LeftOnly(usize),
+    /// A piece of the remainder `bⱼ \ ∪ᵢ aᵢ`.
+    RightOnly(usize),
 }
 
-/// For each region of `of`, the disjoint boxes covering its part not covered
-/// by any region of `minus`. `pub(crate)` so [`crate::bound`] can replicate
-/// the exact piece decomposition [`gcr_boxes`] produces, region by region.
-pub(crate) fn remainders(of: &[BoxRegion], minus: &[BoxRegion]) -> Vec<BoxRegion> {
-    let mut out = Vec::new();
-    for r in of {
-        let mut pieces = vec![r.clone()];
-        for m in minus {
-            let mut next = Vec::new();
-            for p in pieces {
-                next.extend(p.subtract(m));
-            }
-            pieces = next;
-            if pieces.is_empty() {
-                break;
+/// GCR of two *non-exhaustive* box families (cluster-models): the regions,
+/// each with its [`BoxOrigin`], and the tables from origins to region slots
+/// that the measure scan routes rows by.
+///
+/// The regions come in three groups, in this order:
+/// 1. pairwise intersections `aᵢ ∩ bⱼ` (`i`-major);
+/// 2. for each `aᵢ`, the pieces of its remainder `aᵢ \ ∪ⱼ bⱼ` (the part
+///    the right model does not cover);
+/// 3. for each `bⱼ`, the pieces of its remainder `bⱼ \ ∪ᵢ aᵢ`.
+///
+/// The pieces of one remainder are disjoint boxes that cover it exactly
+/// ([`BoxRegion::subtract`]). Intersections overlap one another when one
+/// model's boxes overlap. Together the regions refine every input region:
+/// each `aᵢ` is exactly the union of its intersections with the `b`s plus
+/// its remainder (and symmetrically), so measures add up for any dataset —
+/// the Definition 3.4 condition.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClusterGcr {
+    regions: Vec<BoxRegion>,
+    origins: Vec<BoxOrigin>,
+    /// `both[i * n_right + j]`: the slot of the region `aᵢ ∩ bⱼ`, if any.
+    both: Vec<Option<usize>>,
+    /// Slots of each left box's remainder pieces.
+    left_pieces: Vec<Vec<usize>>,
+    /// Slots of each right box's remainder pieces.
+    right_pieces: Vec<Vec<usize>>,
+}
+
+impl ClusterGcr {
+    /// The GCR of the box families `a` and `b`.
+    pub(crate) fn new(a: &[BoxRegion], b: &[BoxRegion]) -> Self {
+        let mut regions = Vec::new();
+        let mut origins = Vec::new();
+        for (i, ra) in a.iter().enumerate() {
+            for (j, rb) in b.iter().enumerate() {
+                if let Some(r) = ra.intersect(rb) {
+                    regions.push(r);
+                    origins.push(BoxOrigin::Both(i, j));
+                }
             }
         }
-        out.extend(pieces);
+        for (i, ra) in a.iter().enumerate() {
+            for piece in remainder(ra, b) {
+                regions.push(piece);
+                origins.push(BoxOrigin::LeftOnly(i));
+            }
+        }
+        for (j, rb) in b.iter().enumerate() {
+            for piece in remainder(rb, a) {
+                regions.push(piece);
+                origins.push(BoxOrigin::RightOnly(j));
+            }
+        }
+        Self::routed(regions, origins, a.len(), b.len())
     }
-    out
+
+    /// Builds the origin-to-slot tables for `regions`.
+    fn routed(
+        regions: Vec<BoxRegion>,
+        origins: Vec<BoxOrigin>,
+        n_left: usize,
+        n_right: usize,
+    ) -> Self {
+        let mut both = vec![None; n_left * n_right];
+        let mut left_pieces = vec![Vec::new(); n_left];
+        let mut right_pieces = vec![Vec::new(); n_right];
+        for (slot, origin) in origins.iter().enumerate() {
+            match *origin {
+                BoxOrigin::Both(i, j) => both[i * n_right + j] = Some(slot),
+                BoxOrigin::LeftOnly(i) => left_pieces[i].push(slot),
+                BoxOrigin::RightOnly(j) => right_pieces[j].push(slot),
+            }
+        }
+        Self {
+            regions,
+            origins,
+            both,
+            left_pieces,
+            right_pieces,
+        }
+    }
+
+    /// Intersects every region with the focussing region ρ; regions that
+    /// miss ρ drop out (Definition 5.2). The origin tables follow.
+    pub(crate) fn restrict(self, focus: &BoxRegion) -> Self {
+        let (n_left, n_right) = self.model_sizes();
+        let (regions, origins) = self
+            .regions
+            .iter()
+            .zip(&self.origins)
+            .filter_map(|(r, o)| r.intersect(focus).map(|r| (r, *o)))
+            .unzip();
+        Self::routed(regions, origins, n_left, n_right)
+    }
+
+    /// The regions, in group order.
+    pub fn regions(&self) -> &[BoxRegion] {
+        &self.regions
+    }
+
+    /// The origin of each region, parallel to [`Self::regions`].
+    pub fn origins(&self) -> &[BoxOrigin] {
+        &self.origins
+    }
+
+    /// Number of boxes of the left and right model the GCR was built from.
+    pub(crate) fn model_sizes(&self) -> (usize, usize) {
+        (self.left_pieces.len(), self.right_pieces.len())
+    }
+
+    /// Adds a row that lies in exactly the left boxes `in_a` and the right
+    /// boxes `in_b` to the count of every region that contains it.
+    ///
+    /// The row is credited to `aᵢ ∩ bⱼ` for every pair it is in. Only when
+    /// no box of `in_b` has an intersection region with `aᵢ` does the row
+    /// search `aᵢ`'s remainder pieces (and symmetrically for `bⱼ`): the
+    /// pieces are disjoint, so at most one holds the row, and none holds a
+    /// row of a box that meets `aᵢ`. This gives the counts of testing the
+    /// row against every region.
+    pub(crate) fn tally(&self, row: &[Value], in_a: &[usize], in_b: &[usize], counts: &mut [u64]) {
+        let n_right = self.right_pieces.len();
+        let mut credit = |slot: usize| {
+            let hit = self.regions[slot].contains(row);
+            counts[slot] += u64::from(hit);
+            hit
+        };
+        for &i in in_a {
+            let mut met = false;
+            for &j in in_b {
+                if let Some(slot) = self.both[i * n_right + j] {
+                    met = true;
+                    credit(slot);
+                }
+            }
+            if !met {
+                self.left_pieces[i].iter().any(|&slot| credit(slot));
+            }
+        }
+        for &j in in_b {
+            if in_a.iter().all(|&i| self.both[i * n_right + j].is_none()) {
+                self.right_pieces[j].iter().any(|&slot| credit(slot));
+            }
+        }
+    }
+}
+
+/// The regions of the [`ClusterGcr`] of `a` and `b`: pairwise
+/// intersections, then the remainder pieces of each left box, then those
+/// of each right box.
+pub fn gcr_boxes(a: &[BoxRegion], b: &[BoxRegion]) -> Vec<BoxRegion> {
+    ClusterGcr::new(a, b).regions
+}
+
+/// The disjoint boxes covering the part of `r` not covered by any region
+/// of `minus`.
+fn remainder(r: &BoxRegion, minus: &[BoxRegion]) -> Vec<BoxRegion> {
+    let mut pieces = vec![r.clone()];
+    for m in minus {
+        let mut next = Vec::new();
+        for p in pieces {
+            next.extend(p.subtract(m));
+        }
+        pieces = next;
+        if pieces.is_empty() {
+            break;
+        }
+    }
+    pieces
 }
 
 #[cfg(test)]
@@ -263,16 +400,55 @@ mod tests {
     }
 
     #[test]
+    fn cluster_gcr_origins_follow_the_groups_through_restrict() {
+        // a = [0,10), b = [5,15): intersection, then a's remainder, then
+        // b's. Focussing on [8,20) drops a's remainder [0,5) and keeps the
+        // other two regions with their origins.
+        let s = Arc::new(Schema::new(vec![Schema::numeric("x")]));
+        let a = vec![BoxBuilder::new(&s).range("x", 0.0, 10.0).build()];
+        let b = vec![BoxBuilder::new(&s).range("x", 5.0, 15.0).build()];
+        let gcr = ClusterGcr::new(&a, &b);
+        assert_eq!(
+            gcr.origins(),
+            [
+                BoxOrigin::Both(0, 0),
+                BoxOrigin::LeftOnly(0),
+                BoxOrigin::RightOnly(0)
+            ]
+        );
+        let focussed = gcr.restrict(&BoxBuilder::new(&s).range("x", 8.0, 20.0).build());
+        assert_eq!(
+            focussed.origins(),
+            [BoxOrigin::Both(0, 0), BoxOrigin::RightOnly(0)]
+        );
+        assert_eq!(
+            focussed.regions(),
+            [
+                BoxBuilder::new(&s).range("x", 8.0, 10.0).build(),
+                BoxBuilder::new(&s).range("x", 10.0, 15.0).build()
+            ]
+        );
+        // Rows in both boxes are credited to the intersection only; a row
+        // in a alone finds no piece (its remainder was focussed away).
+        let mut counts = vec![0; 2];
+        focussed.tally(&[Value::Num(9.0)], &[0], &[0], &mut counts);
+        focussed.tally(&[Value::Num(6.0)], &[0], &[0], &mut counts);
+        focussed.tally(&[Value::Num(2.0)], &[0], &[], &mut counts);
+        focussed.tally(&[Value::Num(12.0)], &[], &[0], &mut counts);
+        assert_eq!(counts, vec![1, 1]);
+    }
+
+    #[test]
     fn remainders_subtract_union_not_pieces() {
         // One left cluster covered by the union of two right clusters: the
         // remainder must be empty even though neither right cluster alone
         // covers it.
         let s = Arc::new(Schema::new(vec![Schema::numeric("x")]));
-        let a = vec![BoxBuilder::new(&s).range("x", 0.0, 10.0).build()];
+        let a = BoxBuilder::new(&s).range("x", 0.0, 10.0).build();
         let b = vec![
             BoxBuilder::new(&s).range("x", 0.0, 6.0).build(),
             BoxBuilder::new(&s).range("x", 6.0, 10.0).build(),
         ];
-        assert!(remainders(&a, &b).is_empty());
+        assert!(remainder(&a, &b).is_empty());
     }
 }

@@ -101,10 +101,10 @@ pub mod prelude {
     pub use crate::diff::{AggFn, DiffFn};
     pub use crate::embed::DistanceMatrix;
     pub use crate::family::{ClusterFamily, DtFamily, DtGcr, LitsFamily, ModelFamily, Side};
-    pub use crate::gcr::{gcr_boxes, gcr_lits, gcr_partition, OverlayCell};
+    pub use crate::gcr::{gcr_boxes, gcr_lits, gcr_partition, BoxOrigin, ClusterGcr, OverlayCell};
     pub use crate::model::{
-        count_boxes, count_itemsets, count_partition, induce_dt_measures, induce_lits_measures,
-        ClusterModel, DtModel, LitsModel,
+        count_itemsets, count_partition, induce_dt_measures, induce_lits_measures, ClusterModel,
+        DtModel, LitsModel,
     };
     pub use crate::monitor::{
         chi_squared_statistic, chi_squared_test, me_via_deviation, misclassification_error,
@@ -120,7 +120,7 @@ pub mod prelude {
         write_lits_model,
     };
     pub use crate::qualify::{qualify, qualify_chi_squared, qualify_transactions, Resample};
-    pub use crate::region::{AttrConstraint, BoxBuilder, BoxRegion, CatMask, Itemset};
+    pub use crate::region::{AttrConstraint, BoxBuilder, BoxRegion, CatMask, Itemset, LeafIndex};
     pub use crate::report::{dt_report, lits_report, ComparisonReport, ReportOptions};
     pub use crate::source::{
         global_index_budget, parse_index_budget, prefers_index, set_global_index_budget,

@@ -7,8 +7,8 @@
 //! (selectivity) computations that extend a structure over a dataset —
 //! the "single scan of the underlying datasets" of Section 3.3.1.
 
-use crate::data::{LabeledTable, Table, TransactionSet};
-use crate::region::{BoxRegion, Itemset};
+use crate::data::{LabeledTable, TransactionSet};
+use crate::region::{BoxRegion, Itemset, LeafIndex};
 use focus_exec::{map_chunks, merge_counts, Parallelism};
 use std::collections::HashMap;
 
@@ -112,6 +112,8 @@ pub struct DtModel {
     measures: Vec<f64>,
     /// Number of rows in the inducing dataset.
     n_rows: u64,
+    /// Routes a row to its leaf ([`DtModel::locate`]).
+    index: LeafIndex,
 }
 
 impl DtModel {
@@ -128,11 +130,13 @@ impl DtModel {
             leaves.iter().all(|l| l.class.is_none()),
             "leaf cells must be class-free; classes are the measure rows"
         );
+        let index = LeafIndex::new(&leaves);
         Self {
             leaves,
             n_classes,
             measures,
             n_rows,
+            index,
         }
     }
 
@@ -173,10 +177,12 @@ impl DtModel {
         out
     }
 
-    /// Index of the leaf containing `row`, if any. Leaves partition the
-    /// space, so at most one matches.
+    /// Index of the leaf containing `row`, if any — the first one in leaf
+    /// order should a leaf list from a model file overlap. Descends the
+    /// model's [`LeafIndex`], so the cost grows with the depth of the
+    /// partition rather than its leaf count.
     pub fn locate(&self, row: &[crate::data::Value]) -> Option<usize> {
-        self.leaves.iter().position(|l| l.contains(row))
+        self.index.locate(&self.leaves, row)
     }
 
     /// Majority-class prediction for `row` (ties break to the lower class).
@@ -281,7 +287,8 @@ pub fn count_itemsets(data: &TransactionSet, itemsets: &[Itemset], par: Parallel
 /// threads. Returns a row-major `leaves.len() × n_classes` vector,
 /// bit-identical for every thread count.
 ///
-/// One scan: each row is routed to the (unique) containing leaf.
+/// One scan: each row is routed through a [`LeafIndex`] to the first leaf
+/// that contains it.
 pub fn count_partition(
     data: &LabeledTable,
     leaves: &[BoxRegion],
@@ -302,11 +309,12 @@ pub fn count_partition(
     if leaves.is_empty() {
         return Vec::new();
     }
+    let index = LeafIndex::new(leaves);
     let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
         let mut counts = vec![0u64; leaves.len() * k];
         for i in range {
             let row = data.table.row(i);
-            if let Some(leaf) = leaves.iter().position(|l| l.contains(row)) {
+            if let Some(leaf) = index.locate(leaves, row) {
                 counts[leaf * k + data.labels[i] as usize] += 1;
             }
         }
@@ -314,28 +322,6 @@ pub fn count_partition(
     });
     if parts.is_empty() {
         return vec![0u64; leaves.len() * k];
-    }
-    merge_counts(parts)
-}
-
-/// Counts, for each (possibly overlapping) box, the rows of `data` inside
-/// it, scanning row chunks on `par` worker threads. Unlike
-/// [`count_partition`], every box is tested for every row.
-pub fn count_boxes(data: &Table, boxes: &[BoxRegion], par: Parallelism) -> Vec<u64> {
-    let parts = map_chunks(par, data.len(), SCAN_GRAIN, |range| {
-        let mut counts = vec![0u64; boxes.len()];
-        for r in range {
-            let row = data.row(r);
-            for (i, b) in boxes.iter().enumerate() {
-                if b.contains(row) {
-                    counts[i] += 1;
-                }
-            }
-        }
-        counts
-    });
-    if parts.is_empty() {
-        return vec![0u64; boxes.len()];
     }
     merge_counts(parts)
 }
@@ -499,17 +485,6 @@ mod tests {
         assert_eq!(regions.len(), 4);
         assert_eq!(regions[0].class, Some(0));
         assert_eq!(regions[1].class, Some(1));
-    }
-
-    #[test]
-    fn count_boxes_allows_overlap() {
-        let (schema, t) = toy_labeled();
-        let boxes = vec![
-            BoxBuilder::new(&schema).lt("age", 35.0).build(),
-            BoxBuilder::new(&schema).ge("age", 15.0).build(),
-        ];
-        let counts = count_boxes(&t.table, &boxes, Parallelism::Global);
-        assert_eq!(counts, vec![3, 3]);
     }
 
     #[test]

@@ -234,6 +234,9 @@ fn read_region_line(
             "I" => {
                 let lo: f64 = parse_tok(&mut toks, "interval lo")?;
                 let hi: f64 = parse_tok(&mut toks, "interval hi")?;
+                if lo.is_nan() || hi.is_nan() {
+                    return Err(bad("interval bound is NaN"));
+                }
                 constraints.push(AttrConstraint::Interval { lo, hi });
             }
             "C" => {
@@ -597,6 +600,18 @@ mod tests {
             read_lits_model("#lits-model minsup 0.1 n 10\n1 2 0.5\n".as_bytes()).is_err(),
             "missing '|' separator must fail"
         );
+    }
+
+    #[test]
+    fn rejects_nan_interval_bounds() {
+        // A NaN bound admits no row, but box intersection reads it as
+        // unbounded: the GCR would hold regions no scan can agree on.
+        for line in ["cluster I nan 1 | 0.5", "cluster I 0 NaN | 0.5"] {
+            let text = format!("#cluster-model n 5 clusters 1\n#num x\n{line}\n");
+            let err = read_cluster_model(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{line}");
+            assert!(err.to_string().contains("NaN"), "{err}");
+        }
     }
 
     #[test]

@@ -85,6 +85,20 @@ impl CatMask {
         }
     }
 
+    /// Set union.
+    pub fn union(&self, other: &CatMask) -> CatMask {
+        assert_eq!(self.cardinality, other.cardinality);
+        CatMask {
+            bits: self
+                .bits
+                .iter()
+                .zip(&other.bits)
+                .map(|(a, b)| a | b)
+                .collect(),
+            cardinality: self.cardinality,
+        }
+    }
+
     /// Set difference `self \ other`.
     pub fn difference(&self, other: &CatMask) -> CatMask {
         assert_eq!(self.cardinality, other.cardinality);

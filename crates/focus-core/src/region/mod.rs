@@ -9,9 +9,14 @@
 //!   that forms the dt-GCR is box intersection.
 //! * [`Itemset`] — a frequent itemset `X`, which identifies the region of
 //!   all transactions containing `X`; its measure is the support of `X`.
+//!
+//! [`LeafIndex`] routes a row to the first box of a list that contains it,
+//! which is how the dt measure scans find a row's leaf.
 
 mod boxr;
 mod itemset;
+mod leaf_index;
 
 pub use boxr::{AttrConstraint, BoxBuilder, BoxRegion, CatMask};
 pub use itemset::Itemset;
+pub use leaf_index::LeafIndex;

@@ -179,7 +179,7 @@ where
     let k = m1.n_classes() as usize;
     let mut ranked: Vec<(String, f64)> = dev
         .gcr
-        .cells
+        .cells()
         .iter()
         .enumerate()
         .map(|(i, cell)| {
@@ -195,7 +195,7 @@ where
         deviation: dev.value,
         bound: Some(crate::bound::dt_upper_bound(&m1, &m2, AggFn::Sum)),
         significance_percent: significance,
-        n_regions: dev.gcr.cells.len() * k,
+        n_regions: dev.gcr.cells().len() * k,
         top_regions: ranked,
         sizes: (d1.len(), d2.len()),
     }

@@ -810,6 +810,9 @@ fn get_regions(
                 0 => {
                     let lo = f.f64()?;
                     let hi = f.f64()?;
+                    if lo.is_nan() || hi.is_nan() {
+                        return Err(f.bad(format!("region {k}: interval bound is NaN")));
+                    }
                     constraints.push(AttrConstraint::Interval { lo, hi });
                 }
                 1 => {
@@ -1289,6 +1292,23 @@ mod tests {
                 }
                 other => panic!("support {bad}: want Malformed, got {other}"),
             }
+        }
+    }
+
+    #[test]
+    fn region_decoder_rejects_nan_interval_bounds() {
+        // A NaN bound admits no row, but box intersection reads it as
+        // unbounded; the decoder refuses it by name. Offset 9 is the first
+        // region's `x` lower bound (count, constraint count, kind tag).
+        let (t, clu) = demo_cluster();
+        let bytes = encode_cluster_model(&clu, t.schema()).unwrap();
+        let forged = forge(&bytes, "RGNS", 9, &f64::NAN.to_bits().to_le_bytes());
+        match decode_cluster_model(&forged).unwrap_err() {
+            BinError::Malformed { section, what } => {
+                assert_eq!(section, "RGNS");
+                assert!(what.contains("NaN"), "{what}");
+            }
+            other => panic!("want Malformed, got {other}"),
         }
     }
 

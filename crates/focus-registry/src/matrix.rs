@@ -15,10 +15,12 @@
 //! Screening auto-disables exactly where the bound does not dominate
 //! ([`ModelFamily::bound_dominates`]): for the lits family that means any
 //! non-`f_a` difference function or a mixed-minsup pair; for dt any
-//! non-`f_a` difference or a class-count mismatch; for cluster any
-//! non-`f_a` difference. Undominated pairs always get an exact scan, and
-//! so do pairs whose bound is NaN or infinite (e.g. from a model file
-//! carrying a `nan` support): only a finite bound certifies a prune.
+//! non-`f_a` difference or a class-count mismatch (such a pair has no
+//! GCR, so the run stops with [`MatrixError::Incomparable`] naming it);
+//! for cluster any non-`f_a` difference. Undominated pairs always get an
+//! exact scan, and so do pairs whose bound is NaN or infinite (e.g. from a
+//! model file carrying a `nan` support): only a finite bound certifies a
+//! prune.
 //!
 //! Where the bound is additionally a pseudo-metric
 //! ([`ModelFamily::BOUND_IS_METRIC`] — lits and dt, *not* cluster),
@@ -76,6 +78,18 @@ pub enum MatrixError {
         /// Column of the missing cell.
         j: usize,
     },
+    /// A pair that needs an exact scan holds models that cannot be
+    /// compared at all ([`ModelFamily::comparable`] — e.g. dt snapshots
+    /// over different class sets): the pair has no GCR, so the run stops
+    /// before any scan.
+    Incomparable {
+        /// Name of the pair's first snapshot.
+        left: String,
+        /// Name of the pair's second snapshot.
+        right: String,
+        /// Why the two models cannot be compared.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for MatrixError {
@@ -98,6 +112,14 @@ impl std::fmt::Display for MatrixError {
                 f,
                 "no distance available for pair ({i}, {j}): the cell was pruned or \
                  skipped by screening; recompute with threshold 0.0 to embed"
+            ),
+            MatrixError::Incomparable {
+                left,
+                right,
+                reason,
+            } => write!(
+                f,
+                "cannot compare snapshots {left:?} and {right:?}: {reason}"
             ),
         }
     }
@@ -333,9 +355,25 @@ pub fn deviation_matrix<F: ModelFamily>(
     // item; the bound needs no dataset scan, so this phase is cheap even
     // for large collections.
     let bounds = pair_bounds::<F>(models, params.agg, params.par);
-    Ok(deviation_matrix_with_bounds::<F>(
-        models, datasets, names, params, bounds,
-    ))
+    deviation_matrix_with_bounds::<F>(models, datasets, names, params, bounds)
+}
+
+/// Fails with [`MatrixError::Incomparable`] on the first of `pairs` whose
+/// models cannot be compared, so a mixed collection errors by name before
+/// any scan instead of panicking inside one.
+fn check_comparable<F: ModelFamily>(
+    models: &[F::Model],
+    names: &[String],
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+) -> Result<(), MatrixError> {
+    for (i, j) in pairs {
+        F::comparable(&models[i], &models[j]).map_err(|reason| MatrixError::Incomparable {
+            left: names[i].clone(),
+            right: names[j].clone(),
+            reason,
+        })?;
+    }
+    Ok(())
 }
 
 /// [`deviation_matrix`] with the phase-1 bounds already in hand (in
@@ -348,7 +386,7 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
     names: Vec<String>,
     params: &MatrixParams,
     pair_bounds: Vec<f64>,
-) -> DeviationMatrix {
+) -> Result<DeviationMatrix, MatrixError> {
     let n = models.len();
     assert_eq!(n, datasets.len(), "one dataset per model");
     assert_eq!(n, names.len(), "one name per model");
@@ -360,6 +398,7 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
     // pair as uninteresting; everywhere else the certificate is void and
     // the pair survives.
     let survivors = surviving_pairs::<F>(models, &pair_bounds, params);
+    check_comparable::<F>(models, &names, survivors.iter().map(|&p| pair_list[p]))?;
 
     // Phase 2: exact scans for the surviving pairs only. Each pair is one
     // work item; nested scan parallelism inside a worker runs inline per
@@ -396,7 +435,7 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
         exact[i * n + j] = exact_vals[s];
         exact[j * n + i] = exact_vals[s];
     }
-    DeviationMatrix {
+    Ok(DeviationMatrix {
         names,
         n,
         bounds,
@@ -407,7 +446,7 @@ pub(crate) fn deviation_matrix_with_bounds<F: ModelFamily>(
         scanned: survivors.len(),
         metric: F::BOUND_IS_METRIC,
         bound_skips: 0,
-    }
+    })
 }
 
 /// The screening plan for the `N − 1` new pairs `(i, last)` when one
@@ -518,13 +557,14 @@ pub(crate) fn extend_matrix<F: ModelFamily>(
     names: Vec<String>,
     params: &MatrixParams,
     plan: NewPairPlan,
-) -> DeviationMatrix {
+) -> Result<DeviationMatrix, MatrixError> {
     let n = models.len();
     debug_assert_eq!(base.len() + 1, n);
     debug_assert_eq!(params.top, None);
     let last = n - 1;
 
     let survivors = &plan.survivors;
+    check_comparable::<F>(models, &names, survivors.iter().map(|&i| (i, last)))?;
     // As in the full computation: one shared handle per snapshot, so the
     // new member's expensive structures are built once across all of its
     // surviving pairs.
@@ -566,7 +606,7 @@ pub(crate) fn extend_matrix<F: ModelFamily>(
         exact[i * n + last] = exact_vals[s];
         exact[last * n + i] = exact_vals[s];
     }
-    DeviationMatrix {
+    Ok(DeviationMatrix {
         names,
         n,
         bounds,
@@ -577,7 +617,7 @@ pub(crate) fn extend_matrix<F: ModelFamily>(
         scanned: base.scanned + survivors.len(),
         metric: base.metric,
         bound_skips: base.bound_skips + plan.skipped,
-    }
+    })
 }
 
 impl DeviationMatrix {
@@ -1108,6 +1148,40 @@ mod tests {
         // even though one exact cell is pruned.
         let coords = screened.embed(2).unwrap();
         assert_eq!(coords.len(), 3);
+    }
+
+    #[test]
+    fn dt_class_count_mismatch_is_a_named_error() {
+        let (mut models, mut datasets, names) = dt_collection();
+        // Re-declare t2 over three classes: its pairs have no GCR.
+        let mut wide = LabeledTable::new(Arc::clone(datasets[2].table.schema()), 3);
+        for r in 0..datasets[2].len() {
+            wide.push_row(datasets[2].table.row(r), datasets[2].labels[r]);
+        }
+        models[2] = induce_dt_measures(models[2].leaves().to_vec(), &wide);
+        datasets[2] = wide;
+        let err = deviation_matrix::<DtFamily>(
+            &models,
+            &datasets,
+            names,
+            &MatrixParams {
+                par: Parallelism::Sequential,
+                ..MatrixParams::default()
+            },
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            MatrixError::Incomparable {
+                left: "t0".to_string(),
+                right: "t2".to_string(),
+                reason: "class counts differ (2 vs 3)".to_string(),
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "cannot compare snapshots \"t0\" and \"t2\": class counts differ (2 vs 3)"
+        );
     }
 
     /// Cluster collection honouring the dominance contract (measures are

@@ -770,7 +770,7 @@ impl Registry {
         let names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
         Ok(crate::matrix::deviation_matrix_with_bounds::<F>(
             &models, &datasets, names, params, bounds,
-        ))
+        )?)
     }
 
     /// Incremental matrix maintenance: extends `base` — a matrix computed
@@ -864,7 +864,7 @@ impl Registry {
         let names: Vec<String> = entries.iter().map(|e| e.name.clone()).collect();
         Ok(crate::matrix::extend_matrix::<F>(
             base, &models, &datasets, names, params, plan,
-        ))
+        )?)
     }
 }
 

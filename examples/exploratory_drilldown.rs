@@ -40,7 +40,7 @@ fn main() {
     println!(
         "overall δ(f_a, g_sum) = {:.4} over {} GCR cells",
         dev.value,
-        dev.gcr.cells.len()
+        dev.gcr.cells().len()
     );
 
     // --- Focus on analyst-specified regions (Section 2.3 style) ---------
@@ -76,7 +76,7 @@ fn main() {
     // (the paper's SelectTop(Rank(Γ_T1 ⊔ Γ_T2, δ)) expression)
     let k = m_old.n_classes() as usize;
     let scored = rank(
-        dev.gcr.cells.iter().enumerate().collect::<Vec<_>>(),
+        dev.gcr.cells().iter().enumerate().collect::<Vec<_>>(),
         |(i, _)| (0..k).map(|c| dev.per_region[i * k + c]).sum::<f64>(),
     );
     println!("\ntop-3 drifting regions of the GCR:");

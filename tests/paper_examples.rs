@@ -123,7 +123,7 @@ fn figure5_deviation_over_c1_regions_is_0_175() {
         Parallelism::Global,
     );
     assert!((dev.value - 0.175).abs() < 1e-12, "got {}", dev.value);
-    assert_eq!(dev.gcr.cells.len(), 6, "Figure 5's GCR has six cells");
+    assert_eq!(dev.gcr.cells().len(), 6, "Figure 5's GCR has six cells");
 }
 
 #[test]
@@ -143,7 +143,7 @@ fn figure5_focussed_deviation_on_age_lt_30_is_0_08() {
         Parallelism::Global,
     );
     assert!((dev.value - 0.08).abs() < 1e-12, "got {}", dev.value);
-    assert_eq!(dev.gcr.cells.len(), 3);
+    assert_eq!(dev.gcr.cells().len(), 3);
 }
 
 #[test]
@@ -164,8 +164,8 @@ fn figure5_gcr_measures_match_paper() {
     // the sets the paper prints in T3 (order-independent).
     // Selectivities: the dt engine measures absolute counts.
     let (n1, n2) = (d1.len() as f64, d2.len() as f64);
-    let k = dev.gcr.n_classes as usize;
-    let mut pairs: Vec<(f64, f64)> = (0..dev.gcr.cells.len())
+    let k = dev.gcr.n_classes() as usize;
+    let mut pairs: Vec<(f64, f64)> = (0..dev.gcr.cells().len())
         .map(|i| (dev.raw1[i * k + 1] / n1, dev.raw2[i * k + 1] / n2))
         .collect();
     pairs.sort_by(|a, b| a.partial_cmp(b).unwrap());

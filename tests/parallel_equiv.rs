@@ -206,14 +206,13 @@ proptest! {
         );
 
         let dev_seq = deviate_at::<ClusterFamily>(&c1, &d1, &c2, &d2, Parallelism::Sequential);
-        let counts_seq = count_boxes(&d1, c1.clusters(), Parallelism::Sequential);
+        let gcr = ClusterFamily::gcr(&c1, &c2);
+        let scan = |par| ClusterFamily::measures(&gcr, &c1, &c2, &&d1, Side::Left, par);
+        let counts_seq = scan(Parallelism::Sequential);
 
         for t in THREADS {
             let par = Parallelism::Threads(t);
-            prop_assert_eq!(
-                &count_boxes(&d1, c1.clusters(), par), &counts_seq,
-                "box counts, threads = {}", t
-            );
+            assert_bits_eq(&scan(par), &counts_seq, "region counts");
             let dev = deviate_at::<ClusterFamily>(&c1, &d1, &c2, &d2, par);
             prop_assert_eq!(dev.value.to_bits(), dev_seq.value.to_bits(),
                             "deviation value, threads = {}", t);
@@ -365,6 +364,59 @@ proptest! {
             for (c, (a, b)) in par.centroids.iter().zip(&seq.centroids).enumerate() {
                 assert_bits_eq(a, b, &format!("centroid {c}"));
             }
+        }
+    }
+
+    /// Routed measure scans on multi-leaf, categorical trees and on
+    /// overlapping k-means boxes, plain and focussed: the per-region
+    /// counts and deviations are thread-count-invariant.
+    #[test]
+    fn routed_scans_bit_identical(seed in 0u64..1_000_000, n in 600usize..1600,
+                                  b1 in 20.0f64..80.0, b2 in 20.0f64..80.0,
+                                  k in 2usize..6, cut in 20.0f64..80.0) {
+        let d1 = random_labeled_2attr(n, b1, 0.1, seed);
+        let d2 = random_labeled_2attr(n + 29, b2, 0.1, seed ^ 0xD7);
+        let params = TreeParams::default().max_depth(6).min_leaf(5);
+        let t1 = DecisionTree::fit(&d1, params).to_model();
+        let t2 = DecisionTree::fit(&d2, params).to_model();
+        let dt_focus = BoxBuilder::new(d1.table.schema()).lt("x", cut).class(1).build();
+
+        let kp = |s: u64| KMeansParams::new(k).seed(s).max_iters(20);
+        let c1 = KMeans::new(kp(seed)).fit(&d1.table).to_model(&d1.table);
+        let c2 = KMeans::new(kp(seed ^ 1)).fit(&d2.table).to_model(&d2.table);
+        let cl_focus = BoxBuilder::new(d1.table.schema()).ge("x", cut).build();
+
+        let focussed = |par| {
+            (
+                deviate_focussed::<DtFamily>(&t1, &d1, &t2, &d2, &dt_focus,
+                                             DiffFn::Absolute, AggFn::Sum, par),
+                deviate_focussed::<ClusterFamily>(&c1, &d1.table, &c2, &d2.table, &cl_focus,
+                                                  DiffFn::Absolute, AggFn::Sum, par),
+            )
+        };
+        let dt_seq = deviate_at::<DtFamily>(&t1, &d1, &t2, &d2, Parallelism::Sequential);
+        let cl_seq = deviate_at::<ClusterFamily>(&c1, &d1.table, &c2, &d2.table,
+                                                 Parallelism::Sequential);
+        let (dt_f_seq, cl_f_seq) = focussed(Parallelism::Sequential);
+        for t in THREADS {
+            let par = Parallelism::Threads(t);
+            let dt = deviate_at::<DtFamily>(&t1, &d1, &t2, &d2, par);
+            let cl = deviate_at::<ClusterFamily>(&c1, &d1.table, &c2, &d2.table, par);
+            let (dt_f, cl_f) = focussed(par);
+            for (got, want, what) in [
+                (&dt.raw1, &dt_seq.raw1, "dt raw1"),
+                (&dt.raw2, &dt_seq.raw2, "dt raw2"),
+                (&cl.raw1, &cl_seq.raw1, "cluster raw1"),
+                (&cl.raw2, &cl_seq.raw2, "cluster raw2"),
+                (&dt_f.per_region, &dt_f_seq.per_region, "focussed dt per_region"),
+                (&cl_f.per_region, &cl_f_seq.per_region, "focussed cluster per_region"),
+            ] {
+                assert_bits_eq(got, want, what);
+            }
+            prop_assert_eq!(dt_f.value.to_bits(), dt_f_seq.value.to_bits(),
+                            "focussed dt value, threads = {}", t);
+            prop_assert_eq!(cl_f.value.to_bits(), cl_f_seq.value.to_bits(),
+                            "focussed cluster value, threads = {}", t);
         }
     }
 

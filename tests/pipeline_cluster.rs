@@ -72,8 +72,9 @@ fn gcr_regions_are_disjoint_boxes() {
     let m1 = model(&d1, 2, 9);
     let m2 = model(&d2, 2, 10);
     let dev = deviate::<ClusterFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
-    for (i, a) in dev.gcr.iter().enumerate() {
-        for b in &dev.gcr[i + 1..] {
+    let regions = dev.gcr.regions();
+    for (i, a) in regions.iter().enumerate() {
+        for b in &regions[i + 1..] {
             assert!(a.intersect(b).is_none(), "GCR regions must be disjoint");
         }
     }
@@ -81,8 +82,7 @@ fn gcr_regions_are_disjoint_boxes() {
     // selectivity equals the sum over the GCR pieces inside it.
     let n1 = d1.len() as f64;
     for (ci, cluster) in m1.clusters().iter().enumerate() {
-        let inside: f64 = dev
-            .gcr
+        let inside: f64 = regions
             .iter()
             .zip(&dev.raw1)
             .filter(|(r, _)| r.intersect(cluster).is_some_and(|x| &x == *r))

@@ -181,8 +181,8 @@ fn gcr_cell_count_bounded_by_leaf_product() {
     let m1 = fit(&d1);
     let m2 = fit(&d2);
     let dev = deviate::<DtFamily>(&m1, &d1, &m2, &d2, DiffFn::Absolute, AggFn::Sum);
-    assert!(dev.gcr.cells.len() <= m1.leaves().len() * m2.leaves().len());
-    assert!(dev.gcr.cells.len() >= m1.leaves().len().max(m2.leaves().len()));
+    assert!(dev.gcr.cells().len() <= m1.leaves().len() * m2.leaves().len());
+    assert!(dev.gcr.cells().len() >= m1.leaves().len().max(m2.leaves().len()));
     // Selectivities over the GCR sum to 1 per dataset (it is a partition).
     let (n1, n2) = (d1.len() as f64, d2.len() as f64);
     let s1: f64 = dev.raw1.iter().map(|c| c / n1).sum();
