@@ -4,11 +4,10 @@
 //!
 //! * **load** — one lits snapshot (transactions + mined model) per scale,
 //!   persisted as text and as the binary columnar format, then loaded
-//!   back through each storage path: the text readers, an owned
-//!   `read`-to-`Vec` binary decode, and the memory-mapped zero-copy
-//!   decode ([`focus_registry::MappedBytes::open`]). Every decoded
-//!   artifact is equality-checked against the text-loaded baseline
-//!   before its timing is accepted.
+//!   back through each storage path: the text readers and a
+//!   `read`-to-`Vec` binary decode (the registry's load seam). Every
+//!   decoded artifact is equality-checked against the text-loaded
+//!   baseline before its timing is accepted.
 //! * **matrix** — the same snapshot collection in a classic flat/text
 //!   registry, a flat/binary one and a sharded/binary one, timing
 //!   [`Registry::matrix_of`] end to end (manifest + model + dataset IO
@@ -17,9 +16,9 @@
 //!
 //! JSON lines go to stdout (redirect into `BENCH_registry.json`); the
 //! human-readable table goes to stderr. `speedup` is text-load seconds
-//! over this row's seconds, so the acceptance bar — binary and mmap
-//! loads at least 5× faster than text at the largest scale — can be
-//! read straight off the largest-scale rows.
+//! over this row's seconds, so the acceptance bar — binary loads at
+//! least 5× faster than text at the largest scale — can be read
+//! straight off the largest-scale rows.
 
 use focus_bench::{git_commit, timed, ExpConfig};
 use focus_core::data::TransactionSet;
@@ -33,9 +32,7 @@ use focus_mining::{Apriori, AprioriParams};
 use focus_registry::binfmt::{
     decode_lits_model, decode_transactions, encode_lits_model, encode_transactions,
 };
-use focus_registry::{
-    mmap_active, MappedBytes, MatrixParams, Registry, RegistryLayout, StorageFormat,
-};
+use focus_registry::{MatrixParams, Registry, RegistryLayout, StorageFormat};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 
@@ -83,7 +80,7 @@ fn best_of(
     best
 }
 
-/// The text vs binary vs mmap load comparison at one scale.
+/// The text vs binary load comparison at one scale.
 fn run_load(dir: &Path, n_txns: usize, samples: usize, rows: &mut Vec<Row>) {
     let (data, model) = snapshot(n_txns, 1, 100 + n_txns as u64);
 
@@ -105,24 +102,14 @@ fn run_load(dir: &Path, n_txns: usize, samples: usize, rows: &mut Vec<Row>) {
             read_lits_model(File::open(&model_txt).unwrap()).unwrap(),
         )
     });
-    let owned = best_of(samples, &data, &model, || {
+    let bin = best_of(samples, &data, &model, || {
         (
-            decode_transactions(&MappedBytes::read_owned(&data_bin).unwrap()).unwrap(),
-            decode_lits_model(&MappedBytes::read_owned(&model_bin).unwrap()).unwrap(),
-        )
-    });
-    let mmap = best_of(samples, &data, &model, || {
-        (
-            decode_transactions(&MappedBytes::open(&data_bin).unwrap()).unwrap(),
-            decode_lits_model(&MappedBytes::open(&model_bin).unwrap()).unwrap(),
+            decode_transactions(&std::fs::read(&data_bin).unwrap()).unwrap(),
+            decode_lits_model(&std::fs::read(&model_bin).unwrap()).unwrap(),
         )
     });
 
-    for (format, bytes, secs) in [
-        ("text", text_bytes, text),
-        ("bin", bin_bytes, owned),
-        ("mmap", bin_bytes, mmap),
-    ] {
+    for (format, bytes, secs) in [("text", text_bytes, text), ("bin", bin_bytes, bin)] {
         rows.push(Row {
             regime: "load",
             format,
@@ -213,7 +200,6 @@ fn main() {
     let threads = Parallelism::Global.threads();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let commit = git_commit();
-    eprintln!("mmap active: {}", mmap_active());
     eprintln!(
         "{:>8}  {:>12}  {:>8}  {:>9}  {:>10}  {:>8}",
         "Regime", "Format", "Txns", "Bytes", "Best s", "Speedup"
@@ -221,18 +207,9 @@ fn main() {
     for r in &rows {
         println!(
             "{{\"bench\":\"registry\",\"regime\":\"{}\",\"format\":\"{}\",\"txns\":{},\
-             \"bytes\":{},\"mmap_active\":{},\"secs\":{:.6},\"speedup\":{:.2},\
+             \"bytes\":{},\"secs\":{:.6},\"speedup\":{:.2},\
              \"threads\":{},\"cores\":{},\"commit\":\"{}\"}}",
-            r.regime,
-            r.format,
-            r.txns,
-            r.bytes,
-            mmap_active(),
-            r.secs,
-            r.speedup,
-            threads,
-            cores,
-            commit
+            r.regime, r.format, r.txns, r.bytes, r.secs, r.speedup, threads, cores, commit
         );
         eprintln!(
             "{:>8}  {:>12}  {:>8}  {:>9}  {:>10.6}  {:>8.2}",

@@ -19,7 +19,7 @@
 //! | `embed`       | δ* metric embedding via classical MDS (Sec. 4.1.1) |
 //! | `matrix_baseline` | screened vs full-scan matrix timings → `BENCH_matrix.json` |
 //! | `counting_baseline` | bitmap-scan vs tid-bitset index support counting → `BENCH_counting.json` |
-//! | `registry_baseline` | text vs binary vs mmap snapshot loads and registry matrix wall time → `BENCH_registry.json` |
+//! | `registry_baseline` | text vs binary snapshot loads and registry matrix wall time → `BENCH_registry.json` |
 //!
 //! All binaries accept `--scale <fraction>` (default 0.02 — 2% of the
 //! paper's 1M-row base, i.e. 20K rows), `--samples <n>` (default 15, paper

@@ -42,9 +42,11 @@
 //! Standalone datasets and models use the plain-text formats of
 //! `focus_data::io` / `focus_core::persist`. Registries default to the
 //! same text artifacts, but `registry-add --format bin [--shards N]`
-//! creates one in the binary columnar format (per-section checksums,
-//! zero-copy mmap loads) and/or a hash-sharded directory layout; `matrix`
-//! and `embed` detect the layout automatically from `registry.layout`.
+//! creates one in the binary columnar format (per-section checksums) and/or
+//! a hash-sharded directory layout; `matrix` and `embed` detect the layout
+//! automatically from `registry.layout`.
+
+#![forbid(unsafe_code)]
 
 use focus_cluster::{KMeans, KMeansParams};
 use focus_core::bound::lits_upper_bound;
@@ -154,8 +156,8 @@ commands:
              [--format text|bin] [--shards N]    layout of a *new* registry
                                                  (an existing one keeps its
                                                  own; bin = checksummed
-                                                 columnar artifacts, mmap
-                                                 reads; N hash shards)
+                                                 columnar artifacts; N hash
+                                                 shards)
   matrix     --dir <registry> [--kind k] [--threshold <t> | --top <K>]
              [--f fa|fs] [--g sum|max]
   embed      --dir <registry> [--kind k] [--k <dims>]

@@ -447,3 +447,43 @@ fn bound_rejects_out_of_range_model_files_without_panicking() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn bound_rejects_duplicate_and_empty_itemsets() {
+    // Regression: a model listing `1 2` twice loaded with the first copy
+    // kept (so `bound` printed 0.000000 and exited 0), and a `| 0.7` line
+    // loaded as the empty itemset.
+    let dir = scratch("dup-itemset");
+    let good = dir.join("good.model");
+    std::fs::write(&good, "#lits-model minsup 0.2 n 5\n1 2 | 0.3\n").unwrap();
+    for (tag, text, named) in [
+        (
+            "duplicate",
+            "#lits-model minsup 0.2 n 5\n1 2 | 0.3\n1 2 | 0.9\n",
+            "duplicate itemset {1,2}",
+        ),
+        (
+            "empty",
+            "#lits-model minsup 0.2 n 5\n1 2 | 0.3\n | 0.7\n",
+            "empty itemset",
+        ),
+        (
+            "repeat",
+            "#lits-model minsup 0.2 n 5\n1 2 1 | 0.3\n",
+            "itemset {1,2} lists an item twice",
+        ),
+    ] {
+        let bad = dir.join(format!("{tag}.model"));
+        std::fs::write(&bad, text).unwrap();
+        let out = Command::new(bin())
+            .args(["bound", "--m1", path_str(&good), "--m2", path_str(&bad)])
+            .output()
+            .expect("failed to spawn focus-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{tag}: printed a bound");
+        assert!(stderr.starts_with("error: "), "{tag}: {stderr}");
+        assert!(stderr.contains(named), "{tag}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -84,7 +84,6 @@ pub mod ops;
 pub mod persist;
 pub mod qualify;
 pub mod region;
-pub mod report;
 pub mod source;
 pub mod stream;
 pub mod vertical;
@@ -121,7 +120,6 @@ pub mod prelude {
     };
     pub use crate::qualify::{qualify, qualify_chi_squared, qualify_transactions, Resample};
     pub use crate::region::{AttrConstraint, BoxBuilder, BoxRegion, CatMask, Itemset, LeafIndex};
-    pub use crate::report::{dt_report, lits_report, ComparisonReport, ReportOptions};
     pub use crate::source::{
         global_index_budget, parse_index_budget, prefers_index, set_global_index_budget,
         CountSource, DEFAULT_INDEX_BUDGET,

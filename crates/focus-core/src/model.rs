@@ -16,6 +16,19 @@ use std::collections::HashMap;
 /// thread-spawn overhead exceeds the scan itself and the scan runs inline.
 pub(crate) const SCAN_GRAIN: usize = focus_exec::DEFAULT_GRAIN;
 
+/// Zips parallel itemset/support vectors and sorts them into canonical
+/// itemset order (stable, so equal itemsets keep their listed order).
+fn sorted_pairs(itemsets: Vec<Itemset>, supports: Vec<f64>, minsup: f64) -> Vec<(Itemset, f64)> {
+    assert_eq!(itemsets.len(), supports.len(), "parallel vectors");
+    assert!(
+        (0.0..=1.0).contains(&minsup),
+        "minsup must be a fraction, got {minsup}"
+    );
+    let mut pairs: Vec<(Itemset, f64)> = itemsets.into_iter().zip(supports).collect();
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    pairs
+}
+
 /// A lits-model: the set of frequent itemsets of a transaction dataset at a
 /// minimum-support level, with their supports (Section 2.2).
 #[derive(Debug, Clone, PartialEq)]
@@ -32,21 +45,52 @@ pub struct LitsModel {
 
 impl LitsModel {
     /// Assembles a lits-model from parallel itemset/support vectors.
-    /// The itemsets are put into canonical order.
+    /// The itemsets are put into canonical order; of an itemset listed
+    /// twice, the first copy is kept.
     pub fn new(
         itemsets: Vec<Itemset>,
         supports: Vec<f64>,
         minsup: f64,
         n_transactions: u64,
     ) -> Self {
-        assert_eq!(itemsets.len(), supports.len(), "parallel vectors");
-        assert!(
-            (0.0..=1.0).contains(&minsup),
-            "minsup must be a fraction, got {minsup}"
-        );
-        let mut pairs: Vec<(Itemset, f64)> = itemsets.into_iter().zip(supports).collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut pairs = sorted_pairs(itemsets, supports, minsup);
         pairs.dedup_by(|a, b| a.0 == b.0);
+        Self::from_pairs(pairs, minsup, n_transactions)
+    }
+
+    /// Assembles a lits-model read from a file, failing closed where
+    /// [`LitsModel::new`] would silently repair the input. The structural
+    /// component `Γ_M` is a *set* of non-empty itemsets (Section 2.2), so
+    /// the empty itemset, an item listed twice within one itemset, and an
+    /// itemset listed twice (whose second support `new` would drop) are
+    /// each rejected with a message naming them. Both lits-model readers,
+    /// text and binary, build through here; `minsup` must be a fraction.
+    pub fn try_new(
+        itemsets: Vec<Vec<u32>>,
+        supports: Vec<f64>,
+        minsup: f64,
+        n_transactions: u64,
+    ) -> Result<Self, String> {
+        let mut sets = Vec::with_capacity(itemsets.len());
+        for items in itemsets {
+            let listed = items.len();
+            let set = Itemset::new(items);
+            if listed == 0 {
+                return Err("the empty itemset is not a lits-model region".to_string());
+            }
+            if set.len() < listed {
+                return Err(format!("itemset {set} lists an item twice"));
+            }
+            sets.push(set);
+        }
+        let pairs = sorted_pairs(sets, supports, minsup);
+        if let Some(w) = pairs.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!("duplicate itemset {}", w[0].0));
+        }
+        Ok(Self::from_pairs(pairs, minsup, n_transactions))
+    }
+
+    fn from_pairs(pairs: Vec<(Itemset, f64)>, minsup: f64, n_transactions: u64) -> Self {
         let (itemsets, supports) = pairs.into_iter().unzip();
         Self {
             itemsets,

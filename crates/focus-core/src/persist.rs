@@ -18,7 +18,7 @@
 
 use crate::data::{AttrType, Schema, Value};
 use crate::model::{ClusterModel, DtModel, LitsModel};
-use crate::region::{AttrConstraint, BoxRegion, CatMask, Itemset};
+use crate::region::{AttrConstraint, BoxRegion, CatMask};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
 
@@ -93,10 +93,10 @@ pub fn read_lits_model<R: Read>(r: R) -> std::io::Result<LitsModel> {
         if !(0.0..=1.0).contains(&sup) {
             return Err(bad(&format!("support {sup} is not a fraction in [0, 1]")));
         }
-        itemsets.push(Itemset::new(items));
+        itemsets.push(items);
         supports.push(sup);
     }
-    Ok(LitsModel::new(itemsets, supports, minsup, n))
+    LitsModel::try_new(itemsets, supports, minsup, n).map_err(|e| bad(&e))
 }
 
 /// Writes a dt-model (schema + leaf boxes + measures).
@@ -399,7 +399,7 @@ mod tests {
     use super::*;
     use crate::data::LabeledTable;
     use crate::model::induce_dt_measures;
-    use crate::region::BoxBuilder;
+    use crate::region::{BoxBuilder, Itemset};
 
     #[test]
     fn lits_model_round_trip() {
@@ -646,6 +646,24 @@ mod tests {
         }
         let edges = "#lits-model minsup 0 n 5\n0 | 0\n1 | 1\n";
         assert_eq!(read_lits_model(edges.as_bytes()).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn lits_reader_rejects_duplicate_and_empty_itemsets() {
+        // Regression: `LitsModel::new` kept the first of two copies of an
+        // itemset, collapsed a repeated item, and a `| 0.7` line loaded
+        // as the empty itemset.
+        for (body, named) in [
+            ("1 2 | 0.3\n1 2 | 0.9\n", "duplicate itemset {1,2}"),
+            ("2 1 | 0.3\n1 2 | 0.3\n", "duplicate itemset {1,2}"),
+            ("1 2 | 0.3\n | 0.7\n", "empty itemset"),
+            ("3 1 3 | 0.3\n", "itemset {1,3} lists an item twice"),
+        ] {
+            let text = format!("#lits-model minsup 0.1 n 5\n{body}");
+            let err = read_lits_model(text.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{body}");
+            assert!(err.to_string().contains(named), "{body}: {err}");
+        }
     }
 
     #[test]

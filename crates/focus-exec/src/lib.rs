@@ -50,9 +50,8 @@
 //!   `focus_core::qualify::qualify_transactions`, run at
 //!   `Parallelism::Global` without taking it. Their engines,
 //!   `deviate_over` and `qualify`, take it explicitly. One-call helpers
-//!   built on these operations (the `induce_*_measures` constructors, the
-//!   `report` builders, `me_via_deviation`, `chi_squared_test`) also run
-//!   at `Global`.
+//!   built on these operations (the `induce_*_measures` constructors,
+//!   `me_via_deviation`, `chi_squared_test`) also run at `Global`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

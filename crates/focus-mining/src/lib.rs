@@ -26,7 +26,5 @@
 #![forbid(unsafe_code)]
 
 pub mod apriori;
-pub mod rules;
 
 pub use apriori::{Apriori, AprioriParams, CountBackend};
-pub use rules::{generate_rules, rule_set_deviation, Rule};

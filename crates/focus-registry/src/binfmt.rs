@@ -1,4 +1,4 @@
-//! The binary columnar snapshot format and its zero-copy reader.
+//! The binary columnar snapshot format and its reader.
 //!
 //! The plain-text artifact formats stay the golden/interchange tier —
 //! diff-friendly, greppable, stable. This module is the *production*
@@ -17,7 +17,7 @@
 //! the three model kinds) writes a fixed sequence of tagged sections;
 //! numeric columns are stored as raw `u64`/`u32`/`f64-bit` words. Every
 //! section carries a checksum of its payload (FNV-1a folded over 64-bit
-//! words plus the length — [`checksum64`]), so corruption —
+//! words plus the length — `checksum64`), so corruption —
 //! a flipped bit, a truncated write, a foreign file — always surfaces as
 //! a **named [`BinError`]**, never as a silent wrong read. Decoded
 //! structures pass through the same validation the text readers perform
@@ -26,20 +26,16 @@
 //!
 //! ## Reading
 //!
-//! Decoders take `&[u8]`, so they run identically over an owned buffer
-//! and over [`MappedBytes`] — the memory-mapped, zero-copy view used by
-//! the registry's load seam when the `mmap` feature (default-on) is
-//! active on a 64-bit unix target, with a read-to-`Vec` fallback
-//! everywhere else. Either way the decoded structs are owned, so results
-//! are bit-identical to text-loaded data by construction of the same
-//! in-memory types.
+//! Decoders take `&[u8]` — the registry's load seam hands them the whole
+//! file read with `std::fs::read` — and copy into owned structs, so
+//! results are bit-identical to text-loaded data by construction of the
+//! same in-memory types.
 
 use focus_core::data::{AttrType, LabeledTable, Schema, Table, TransactionSet, Value};
 use focus_core::model::{ClusterModel, DtModel, LitsModel};
 use focus_core::persist::check_cluster_model_persistable;
 use focus_core::region::{AttrConstraint, BoxRegion, CatMask, Itemset};
 use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 /// File magic: "FCSB" (FoCuS Binary).
@@ -757,9 +753,12 @@ pub fn decode_lits_model(bytes: &[u8]) -> Result<LitsModel, BinError> {
                 what: format!("itemset {k} is not strictly increasing"),
             });
         }
-        itemsets.push(Itemset::from_slice(slice));
+        itemsets.push(slice.to_vec());
     }
-    Ok(LitsModel::new(itemsets, supports, minsup, n_txns))
+    LitsModel::try_new(itemsets, supports, minsup, n_txns).map_err(|what| BinError::Malformed {
+        section: "ITEM",
+        what,
+    })
 }
 
 fn put_regions(p: &mut Payload<'_>, regions: &[BoxRegion]) {
@@ -930,150 +929,6 @@ pub fn decode_cluster_model(bytes: &[u8]) -> Result<(ClusterModel, Arc<Schema>),
     meas.done()?;
     dec.finish()?;
     Ok((ClusterModel::new(clusters, measures, n_rows), schema))
-}
-
-// ---------------------------------------------------------------------------
-// Memory-mapped reads
-
-/// True when this build actually memory-maps snapshot files; false when
-/// [`MappedBytes::open`] falls back to reading into a `Vec`.
-pub fn mmap_active() -> bool {
-    cfg!(all(unix, target_pointer_width = "64", feature = "mmap"))
-}
-
-/// A read-only byte view of a file: memory-mapped where the platform and
-/// the `mmap` feature allow it, an owned buffer otherwise. Decoders only
-/// see `&[u8]`, so the two paths are interchangeable — and because the
-/// decoded structures are owned either way, results are bit-identical to
-/// buffered reads by construction.
-pub struct MappedBytes(Repr);
-
-enum Repr {
-    Owned(Vec<u8>),
-    #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-    Mapped(mmap_impl::Map),
-}
-
-impl MappedBytes {
-    /// Opens `path` for zero-copy reading, falling back to
-    /// [`MappedBytes::read_owned`] when mapping is unavailable (non-unix,
-    /// 32-bit, the `mmap` feature off, an empty file, or a map failure).
-    pub fn open(path: &Path) -> io::Result<MappedBytes> {
-        #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-        {
-            if let Some(map) = mmap_impl::Map::open(path)? {
-                return Ok(MappedBytes(Repr::Mapped(map)));
-            }
-        }
-        Self::read_owned(path)
-    }
-
-    /// Reads `path` fully into an owned buffer (never maps).
-    pub fn read_owned(path: &Path) -> io::Result<MappedBytes> {
-        Ok(MappedBytes(Repr::Owned(std::fs::read(path)?)))
-    }
-}
-
-impl std::ops::Deref for MappedBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match &self.0 {
-            Repr::Owned(v) => v,
-            #[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-            Repr::Mapped(m) => m.as_slice(),
-        }
-    }
-}
-
-/// The raw `mmap`/`munmap` shim. The workspace forbids new external
-/// dependencies, so the two libc symbols are declared directly; the
-/// unsafety is confined to this module and the mapping is strictly
-/// read-only + private, so no Rust aliasing rule can be violated through
-/// it. 64-bit unix only (`off_t` is `i64` there), which the cfg gate
-/// guarantees.
-#[cfg(all(unix, target_pointer_width = "64", feature = "mmap"))]
-#[allow(unsafe_code)]
-mod mmap_impl {
-    use std::ffi::{c_int, c_void};
-    use std::fs::File;
-    use std::io;
-    use std::os::fd::AsRawFd;
-    use std::path::Path;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-
-    const PROT_READ: c_int = 1;
-    const MAP_PRIVATE: c_int = 2;
-
-    /// An owned read-only private mapping, unmapped on drop.
-    pub(super) struct Map {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ + MAP_PRIVATE and never handed out
-    // mutably, so concurrent reads from other threads are safe.
-    unsafe impl Send for Map {}
-    unsafe impl Sync for Map {}
-
-    impl Map {
-        /// Maps `path` read-only. `Ok(None)` means "use the owned-read
-        /// fallback" (empty file, or the kernel refused the map).
-        pub(super) fn open(path: &Path) -> io::Result<Option<Map>> {
-            let file = File::open(path)?;
-            let len = file.metadata()?.len();
-            if len == 0 {
-                return Ok(None);
-            }
-            let Ok(len) = usize::try_from(len) else {
-                return Ok(None);
-            };
-            // SAFETY: a fresh anonymous-address read-only private mapping
-            // of an open fd; the fd may close after mmap returns (the
-            // mapping keeps its own reference).
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr.is_null() || ptr as isize == -1 {
-                return Ok(None);
-            }
-            Ok(Some(Map { ptr, len }))
-        }
-
-        pub(super) fn as_slice(&self) -> &[u8] {
-            // SAFETY: ptr/len describe a live PROT_READ mapping owned by
-            // self; the borrow cannot outlive the unmap in Drop.
-            unsafe { std::slice::from_raw_parts(self.ptr.cast::<u8>(), self.len) }
-        }
-    }
-
-    impl Drop for Map {
-        fn drop(&mut self) {
-            // SAFETY: exactly the region mmap returned; mapped once,
-            // unmapped once.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1296,6 +1151,30 @@ mod tests {
     }
 
     #[test]
+    fn lits_model_decoder_rejects_duplicate_and_empty_itemsets() {
+        let malformed = |bytes: &[u8], named: &str| match decode_lits_model(bytes).unwrap_err() {
+            BinError::Malformed { section, what } => {
+                assert_eq!(section, "ITEM");
+                assert!(what.contains(named), "{what}");
+            }
+            other => panic!("want Malformed, got {other}"),
+        };
+        // Forge {1}, {2} into {1}, {1}: each itemset is still strictly
+        // increasing, but the set lists one of them twice.
+        let model = LitsModel::new(
+            vec![Itemset::from_slice(&[1]), Itemset::from_slice(&[2])],
+            vec![0.5, 0.25],
+            0.1,
+            10,
+        );
+        let forged = forge(&encode_lits_model(&model), "ITEM", 4, &1u32.to_le_bytes());
+        malformed(&forged, "duplicate itemset {1}");
+        // `LitsModel::new` accepts the empty itemset; the decoder does not.
+        let empty = LitsModel::new(vec![Itemset::new(Vec::new())], vec![0.5], 0.1, 10);
+        malformed(&encode_lits_model(&empty), "empty itemset");
+    }
+
+    #[test]
     fn region_decoder_rejects_nan_interval_bounds() {
         // A NaN bound admits no row, but box intersection reads it as
         // unbounded; the decoder refuses it by name. Offset 9 is the first
@@ -1359,24 +1238,5 @@ mod tests {
                 assert_eq!(err, BinError::Truncated(section), "truncate in {tag}");
             }
         }
-    }
-
-    #[test]
-    fn mapped_bytes_match_owned_reads() {
-        let dir = std::env::temp_dir().join(format!("focus-binfmt-map-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.txns.bin");
-        let ts = random_dataset(11, 300, 0.8);
-        std::fs::write(&path, encode_transactions(&ts)).unwrap();
-        let mapped = MappedBytes::open(&path).unwrap();
-        let owned = MappedBytes::read_owned(&path).unwrap();
-        assert_eq!(&*mapped, &*owned, "byte views must agree");
-        assert_eq!(decode_transactions(&mapped).unwrap(), ts);
-        assert_eq!(decode_transactions(&owned).unwrap(), ts);
-        // Empty files take the owned fallback and still behave.
-        let empty = dir.join("empty.bin");
-        std::fs::write(&empty, b"").unwrap();
-        assert!(MappedBytes::open(&empty).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

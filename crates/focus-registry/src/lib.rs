@@ -11,8 +11,8 @@
 //!   dataset plus its mined model, indexed by a line-oriented manifest.
 //!   Artifacts default to diff-friendly plain text (`focus_data::io` +
 //!   `focus_core::persist`); production registries can instead choose the
-//!   checksummed binary columnar format of [`binfmt`] (loaded zero-copy
-//!   via mmap where available) and a hash-sharded directory layout
+//!   checksummed binary columnar format of [`binfmt`] and a hash-sharded
+//!   directory layout
 //!   ([`RegistryLayout`]) that scales to 10⁴–10⁵ snapshots;
 //! * [`DeviationMatrix`] — all `N·(N−1)/2` pairwise deviations of a
 //!   collection, computed with **two-phase δ* screening**: phase one
@@ -34,10 +34,7 @@
 //! itself wherever the dominance argument does not apply.
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: the one mmap module in `binfmt` carries a scoped
-// `allow(unsafe_code)` with its safety argument; everything else stays
-// unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod binfmt;
 mod family;
@@ -47,7 +44,7 @@ mod shard;
 #[cfg(test)]
 mod testutil;
 
-pub use binfmt::{mmap_active, BinError, MappedBytes};
+pub use binfmt::BinError;
 pub use family::{SnapshotFamily, SnapshotKind};
 pub use matrix::{deviation_matrix, DeviationMatrix, MatrixError, MatrixParams};
 pub use registry::{Registry, SnapshotEntry};

@@ -43,8 +43,7 @@ pub enum StorageFormat {
     /// releases wrote.
     #[default]
     Text,
-    /// The binary columnar format of [`crate::binfmt`], read zero-copy
-    /// via [`crate::binfmt::MappedBytes`] where available.
+    /// The binary columnar format of [`crate::binfmt`].
     Binary,
 }
 

@@ -1,10 +1,8 @@
 //! Storage-tier equivalence: the same snapshot collection persisted as
 //! classic flat/text, flat/binary, and sharded/binary registries must
 //! load bit-identical datasets and models, and must produce bit-identical
-//! screened deviation matrices — for all three model families. The binary
-//! registries read through the mmap path where the platform provides it
-//! (and the owned-read fallback elsewhere), so this also pins the
-//! zero-copy loads to the text baseline.
+//! screened deviation matrices — for all three model families. This pins
+//! the binary decoders to the text baseline.
 
 use focus_core::data::{LabeledTable, Schema, Table, TransactionSet, Value};
 use focus_core::family::{ClusterFamily, DtFamily, LitsFamily};

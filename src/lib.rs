@@ -26,15 +26,17 @@
 //! let d2 = process.generate(800, 2); // same generating process
 //!
 //! let miner = Apriori::new(AprioriParams::with_minsup(0.05));
-//! let report = lits_report(
-//!     &d1,
-//!     &d2,
-//!     |d| miner.mine(d),
-//!     ReportOptions { reps: 19, ..Default::default() },
-//! );
+//! let delta = |a: &TransactionSet, b: &TransactionSet| {
+//!     let (ma, mb) = (miner.mine(a), miner.mine(b));
+//!     deviate::<LitsFamily>(&ma, a, &mb, b, DiffFn::Absolute, AggFn::Sum).value
+//! };
+//! // Bootstrap qualification: re-mine and re-measure 19 resampled pairs.
+//! let q = qualify_transactions(&d1, &d2, delta(&d1, &d2), 19, 7, delta);
 //! // Same process ⇒ the deviation is not in the extreme tail of the null.
-//! assert!(!report.is_significant(0.01), "{report}");
+//! assert!(!q.is_significant(0.01), "{}%", q.significance_percent);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use focus_cluster as cluster;
 pub use focus_core as core;
